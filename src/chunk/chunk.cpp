@@ -1,25 +1,11 @@
 #include "chunk/chunk.hpp"
 
-#include <atomic>
-
-#include "common/catomic.hpp"
 #include "common/strkey.hpp"
 
 namespace cats::chunk {
 
-namespace detail {
-
-// Shared by every BasicChunk instantiation (see chunk_impl.hpp).
-cats::atomic<std::size_t> g_live_nodes{0};
-
-}  // namespace detail
-
 // All member-function codegen for the supported key types lives here.
 template struct BasicChunk<Key, Value, std::less<Key>>;
 template struct BasicChunk<StrKey, Value, std::less<StrKey>>;
-
-std::size_t live_nodes() {
-  return detail::g_live_nodes.load(std::memory_order_relaxed);
-}
 
 }  // namespace cats::chunk

@@ -84,7 +84,5 @@ inline bool check_invariants(const Node* chunk) {
 inline bool validate(const Node* chunk, check::Report* report) {
   return Impl::validate(chunk, report);
 }
-/// Total live node count across all chunks and all key-type instantiations.
-std::size_t live_nodes();
 
 }  // namespace cats::chunk

@@ -25,17 +25,9 @@
 #include "common/catomic.hpp"
 #include "common/function_ref.hpp"
 #include "common/types.hpp"
+#include "obs/registry.hpp"
 
 namespace cats::chunk {
-
-namespace detail {
-
-/// Process-wide live-node counter shared by every BasicChunk instantiation
-/// (defined in chunk.cpp), keeping leak checks meaningful across mixed
-/// key-type workloads.
-extern cats::atomic<std::size_t> g_live_nodes;
-
-}  // namespace detail
 
 template <class K, class V, class Compare = std::less<K>>
 struct BasicChunk {
@@ -85,7 +77,7 @@ struct BasicChunk {
     node->count = count;
     CATS_CHECKED_ONLY(node->check_canary.store(check::kCanaryAlive,
                                                std::memory_order_relaxed));
-    detail::g_live_nodes.fetch_add(1, std::memory_order_relaxed);
+    CATS_OBS_ONLY(obs::count(obs::GCounter::kChunkNodeAllocs));
     return node;
   }
 
@@ -108,7 +100,7 @@ struct BasicChunk {
     CATS_CHECK(prev != 0, "chunk node %p: refcount underflow",
                static_cast<const void*>(node));
     if (prev == 1) {
-      detail::g_live_nodes.fetch_sub(1, std::memory_order_relaxed);
+      CATS_OBS_ONLY(obs::count(obs::GCounter::kChunkNodeFrees));
       // Compute the size before the poison overwrites `count`; pool_free
       // needs it too (the pool's size classes are keyed on it).
       const std::size_t bytes = allocation_bytes(node->count);

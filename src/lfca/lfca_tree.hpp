@@ -137,6 +137,10 @@ class BasicLfcaTree {
   /// range queries.  Must only be set in quiescence and cleared before the
   /// tree is destroyed.  Empty (zero-cost check) in normal operation.
   std::function<void(int)> testing_range_step_hook;
+  /// Same contract for the join protocol: complete_join invokes it with
+  /// phase 0 once it has found the join in flight, and with phase 1 right
+  /// after its attempt to swap the neighbor base for the joined one.
+  std::function<void(int)> testing_join_step_hook;
 
   const Config& config() const { return config_; }
   reclaim::Domain& domain() const { return domain_; }
@@ -150,6 +154,7 @@ class BasicLfcaTree {
 
   // --- help functions (paper Fig. 3/4) -----------------------------------
   bool try_replace(Node* b, Node* new_b);
+  bool swing(Node* b, Node* new_b);
   static bool is_replaceable(const Node* n);
   void help_if_needed(Node* n);
   int new_stat(const Node* n, ContentionInfo info) const;

@@ -152,6 +152,15 @@ void BasicLfcaTree<C>::retire(Node* n) {
 // also makes every call site's "winner frees" rule uniform.
 template <class C>
 bool BasicLfcaTree<C>::try_replace(Node* b, Node* new_b) {
+  if (!swing(b, new_b)) return false;
+  retire(b);
+  return true;
+}
+
+// The CAS of try_replace without the retire: swings b's parent link (or the
+// root) from b to new_b and reports whether this call did it.
+template <class C>
+bool BasicLfcaTree<C>::swing(Node* b, Node* new_b) {
   bool done = false;
   Node* parent = cats::sim_plain_read(b->parent);
   if (parent == nullptr) {
@@ -167,7 +176,6 @@ bool BasicLfcaTree<C>::try_replace(Node* b, Node* new_b) {
     done = parent->right.compare_exchange_strong(expected, new_b,
                                                  std::memory_order_acq_rel);
   }
-  if (done) retire(b);
   return done;
 }
 
@@ -609,6 +617,7 @@ void BasicLfcaTree<C>::complete_join(Node* m) {
   Node* n2 = m->neigh2.load(std::memory_order_acquire);
   if (n2 == Node::done_mark()) return;
   assert(detail::is_real<C>(n2));
+  if (testing_join_step_hook) testing_join_step_hook(0);
   // The plain fields below were published by neigh2's release store (the
   // pre-publish protocol secured above); each is immutable afterwards, so a
   // helper may cache them in locals.  The sim_plain_read hooks let the
@@ -617,38 +626,41 @@ void BasicLfcaTree<C>::complete_join(Node* m) {
   Node* parent = cats::sim_plain_read(m->parent);
   Node* gparent = cats::sim_plain_read(m->gparent);
   Node* otherb = cats::sim_plain_read(m->otherb);
-  try_replace(neigh1, n2);                              // line 254
+  // A helper that read neigh2 before the done mark below may still touch
+  // neigh1, parent and gparent, and its guard can have begun after any of
+  // the CASes here (the Java original leans on the GC for this).  So this
+  // helper retires what its CASes unlinked, and releases gparent's join_id
+  // (which lets another join remove gparent), only after publishing done.
+  // Every such late helper then announced its guard before those retires.
+  const bool unlinked_neigh1 = swing(neigh1, n2);        // line 254
+  if (testing_join_step_hook) testing_join_step_hook(1);
   parent->valid.store(false, std::memory_order_release);  // line 255
   Node* replacement = otherb == neigh1 ? n2 : otherb;
+  bool unlinked_parent = false;
   if (gparent == nullptr) {
     Node* expected = parent;
-    if (root_.compare_exchange_strong(expected, replacement,
-                                      std::memory_order_acq_rel)) {
-      retire(parent);
-      retire(m);
-    }
+    unlinked_parent = root_.compare_exchange_strong(
+        expected, replacement, std::memory_order_acq_rel);
   } else if (gparent->left.load(std::memory_order_acquire) == parent) {
     Node* expected = parent;
-    if (gparent->left.compare_exchange_strong(expected, replacement,
-                                              std::memory_order_acq_rel)) {
-      retire(parent);
-      retire(m);
-    }
-    Node* expected_id = m;
-    gparent->join_id.compare_exchange_strong(expected_id, nullptr,
-                                             std::memory_order_acq_rel);
+    unlinked_parent = gparent->left.compare_exchange_strong(
+        expected, replacement, std::memory_order_acq_rel);
   } else if (gparent->right.load(std::memory_order_acquire) == parent) {
     Node* expected = parent;
-    if (gparent->right.compare_exchange_strong(expected, replacement,
-                                               std::memory_order_acq_rel)) {
-      retire(parent);
-      retire(m);
-    }
+    unlinked_parent = gparent->right.compare_exchange_strong(
+        expected, replacement, std::memory_order_acq_rel);
+  }
+  m->neigh2.store(Node::done_mark(), std::memory_order_release);  // line 266
+  if (gparent != nullptr) {
     Node* expected_id = m;
     gparent->join_id.compare_exchange_strong(expected_id, nullptr,
                                              std::memory_order_acq_rel);
   }
-  m->neigh2.store(Node::done_mark(), std::memory_order_release);  // line 266
+  if (unlinked_neigh1) retire(neigh1);
+  if (unlinked_parent) {
+    retire(parent);
+    retire(m);
+  }
 }
 
 // Finds the parent of route node r by searching from the root (the paper's

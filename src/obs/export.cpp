@@ -34,6 +34,10 @@ Snapshot global_snapshot() {
       "treap_live_nodes",
       static_cast<double>(values.counter(GCounter::kTreapNodeAllocs)) -
           static_cast<double>(values.counter(GCounter::kTreapNodeFrees)));
+  snap.add_gauge(
+      "chunk_live_nodes",
+      static_cast<double>(values.counter(GCounter::kChunkNodeAllocs)) -
+          static_cast<double>(values.counter(GCounter::kChunkNodeFrees)));
   // Node-pool occupancy and hit rate (src/alloc).  The pool keeps its own
   // sharded counters rather than obs ones — its fast path is the very cost
   // this repo measures — so they surface here as gauges.  All zero when the

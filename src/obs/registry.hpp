@@ -30,6 +30,9 @@ enum class GCounter : std::size_t {
   // --- treap leaf containers (src/treap/treap.cpp) ------------------------
   kTreapNodeAllocs,     // persistent treap nodes allocated (path copies)
   kTreapNodeFrees,      // persistent treap nodes destroyed
+  // --- sorted-array leaf containers (src/chunk/chunk.cpp) -----------------
+  kChunkNodeAllocs,     // chunk nodes allocated (one per update)
+  kChunkNodeFrees,      // chunk nodes freed (last reference dropped)
   // --- benchmark harness (src/harness/runner.hpp) --------------------------
   kHarnessOps,          // operations completed by harness worker threads;
                         // the monitor derives ops/sec from its deltas
@@ -45,6 +48,8 @@ inline const char* gcounter_name(GCounter c) {
     case GCounter::kEbrOrphaned: return "ebr_orphaned";
     case GCounter::kTreapNodeAllocs: return "treap_node_allocs";
     case GCounter::kTreapNodeFrees: return "treap_node_frees";
+    case GCounter::kChunkNodeAllocs: return "chunk_node_allocs";
+    case GCounter::kChunkNodeFrees: return "chunk_node_frees";
     case GCounter::kHarnessOps: return "harness_ops";
     case GCounter::kCount: break;
   }

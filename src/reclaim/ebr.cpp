@@ -74,12 +74,7 @@ Domain::~Domain() {
   }
   // No concurrent users remain: everything pending is safe to free.
   std::lock_guard<std::mutex> lock(orphan_mutex_);
-  for (const Retired& r : orphans_) {
-    CATS_CHECKED_ONLY(check::on_reclaim(r.ptr));
-    r.deleter(r.ptr);
-  }
-  pending_.fetch_sub(orphans_.size(), std::memory_order_relaxed);
-  orphans_.clear();
+  for (const Retired& r : orphans_.take()) reclaim(r);
 }
 
 Domain& Domain::global() {
@@ -126,12 +121,13 @@ Domain::ThreadCtx* Domain::register_thread() {
 
 void Domain::unregister(ThreadCtx* ctx) {
   if (!ctx->retired.empty()) {
-    CATS_OBS_ONLY(
-        obs::count(obs::GCounter::kEbrOrphaned, ctx->retired.size()));
+    const std::vector<Retired> own = ctx->retired.take();
+    CATS_OBS_ONLY(obs::count(obs::GCounter::kEbrOrphaned, own.size()));
     std::lock_guard<std::mutex> lock(orphan_mutex_);
-    orphans_.insert(orphans_.end(), ctx->retired.begin(), ctx->retired.end());
+    orphans_.items.insert(orphans_.items.end(), own.begin(), own.end());
   }
   auto& slot = *slots_[ctx->slot_index];
+  slot.retirees.store(0, std::memory_order_relaxed);
   slot.announced.store(kIdle, std::memory_order_release);
   slot.owner.store(nullptr, std::memory_order_release);
   if (tl_cached_domain == this) {
@@ -187,16 +183,86 @@ void Domain::retire(void* ptr, void (*deleter)(void*)) {
   ThreadCtx& ctx = context();
   cats::sim_point_event("ebr_retire", this);
   const std::uint64_t e = global_epoch_.load(std::memory_order_acquire);
-  ctx.retired.push_back({ptr, deleter, e});
-  pending_.fetch_add(1, std::memory_order_relaxed);
+  ctx.retired.items.push_back({ptr, deleter, e});
+  add_retirees(ctx, 1);
   CATS_OBS_ONLY(obs::count(obs::GCounter::kEbrRetired));
-  if (++ctx.retire_count % kDrainThreshold == 0) {
-    // A failed advance means some reader still pins the epoch and this
-    // thread's garbage backlog keeps growing — annotated on the current
-    // flight-recorder span as an epoch wait.
-    if (!try_advance()) CATS_OBS_ONLY(obs::flight::note_epoch_wait());
-    free_eligible(ctx.retired, global_epoch_.load(std::memory_order_acquire));
+  if (ctx.freeing) return;  // called from a deleter: free it later
+  const std::uint64_t n = ++ctx.retire_count;
+  // Orphans and the own FIFO share one budget per call.
+  std::size_t budget = kFreeBudget;
+  if (n % kDrainThreshold == 0) {
+    if (try_advance()) {
+      budget -=
+          free_orphans(ctx, global_epoch_.load(std::memory_order_acquire));
+    } else {
+      // Some reader still pins the epoch and this thread's garbage backlog
+      // keeps growing — annotated on the current flight-recorder span as
+      // an epoch wait.
+      CATS_OBS_ONLY(obs::flight::note_epoch_wait());
+    }
   }
+  if (n % kFreePeriod == 0) {
+    free_prefix(ctx, global_epoch_.load(std::memory_order_acquire), budget);
+  }
+}
+
+void Domain::add_retirees(ThreadCtx& ctx, std::ptrdiff_t delta) {
+  // Owner-only writer: a load + store is enough and keeps the line in this
+  // thread's cache (pending() readers only ever load it).
+  auto& count = slots_[ctx.slot_index]->retirees;
+  count.store(count.load(std::memory_order_relaxed) +
+                  static_cast<std::size_t>(delta),
+              std::memory_order_relaxed);
+}
+
+void Domain::reclaim(const Retired& r) {
+  CATS_CHECKED_ONLY(check::on_reclaim(r.ptr));
+  r.deleter(r.ptr);
+}
+
+void Domain::free_prefix(ThreadCtx& ctx, std::uint64_t global,
+                         std::size_t budget) {
+  // Each entry is copied out and popped before its deleter runs: a deleter
+  // may retire(), which appends to this very vector and may reallocate it.
+  // The freeing flag makes such a retire only enqueue, so deleters never
+  // recurse into this loop.
+  RetiredFifo& fifo = ctx.retired;
+  ctx.freeing = true;
+  std::size_t freed = 0;
+  while (freed < budget && !fifo.empty() && eligible(fifo.front(), global)) {
+    const Retired r = fifo.front();
+    fifo.pop_front();
+    reclaim(r);
+    ++freed;
+  }
+  ctx.freeing = false;
+  if (freed != 0) {
+    add_retirees(ctx, -static_cast<std::ptrdiff_t>(freed));
+    CATS_OBS_ONLY(obs::count(obs::GCounter::kEbrFreed, freed));
+  }
+}
+
+std::size_t Domain::free_orphans(ThreadCtx& ctx, std::uint64_t global) {
+  // Orphans are a concatenation of several threads' FIFOs, so the eligible
+  // ones need not be a prefix; popping only the eligible prefix is
+  // conservative, and the front becomes eligible within two advances.
+  Retired batch[kFreeBudget];
+  std::size_t n = 0;
+  {
+    std::unique_lock<std::mutex> lock(orphan_mutex_, std::try_to_lock);
+    if (!lock.owns_lock()) return 0;  // another thread is at it
+    while (n < kFreeBudget && !orphans_.empty() &&
+           eligible(orphans_.front(), global)) {
+      batch[n++] = orphans_.front();
+      orphans_.pop_front();
+    }
+  }
+  // Deleters run outside the lock (see drain()).
+  ctx.freeing = true;
+  for (std::size_t i = 0; i < n; ++i) reclaim(batch[i]);
+  ctx.freeing = false;
+  if (n != 0) CATS_OBS_ONLY(obs::count(obs::GCounter::kEbrFreed, n));
+  return n;
 }
 
 bool Domain::try_advance() {
@@ -230,26 +296,16 @@ bool Domain::try_advance() {
 }
 
 void Domain::free_eligible(std::vector<Retired>& list, std::uint64_t global) {
-  // Partition first, run deleters after: a deleter may itself call
-  // retire(), which appends to the calling thread's list — possibly this
-  // very vector — and must not race with our iteration.
-  std::vector<Retired> eligible;
-  std::size_t kept = 0;
-  for (const Retired& r : list) {
-    if (r.epoch + 2 <= global) {
-      eligible.push_back(r);
-    } else {
-      list[kept++] = r;
-    }
-  }
-  list.resize(kept);
-  for (const Retired& r : eligible) {
-    CATS_CHECKED_ONLY(check::on_reclaim(r.ptr));
-    r.deleter(r.ptr);
-  }
-  if (!eligible.empty()) {
-    pending_.fetch_sub(eligible.size(), std::memory_order_relaxed);
-    CATS_OBS_ONLY(obs::count(obs::GCounter::kEbrFreed, eligible.size()));
+  // `list` is private to the caller, so a deleter that retires cannot touch
+  // it; remove_if applies the predicate exactly once per entry.
+  const std::size_t before = list.size();
+  std::erase_if(list, [&](const Retired& r) {
+    if (!eligible(r, global)) return false;
+    reclaim(r);
+    return true;
+  });
+  if (list.size() != before) {
+    CATS_OBS_ONLY(obs::count(obs::GCounter::kEbrFreed, before - list.size()));
   }
 }
 
@@ -260,7 +316,7 @@ void Domain::drain() {
   // case.
   for (int i = 0; i < 3; ++i) try_advance();
   const std::uint64_t global = global_epoch_.load(std::memory_order_acquire);
-  free_eligible(ctx.retired, global);
+  free_prefix(ctx, global, SIZE_MAX);
   // Run orphan deleters outside the lock: deleters touch shared state
   // (refcounts, pools) and must not serialise — or, under CATS_SIM, hit a
   // scheduling point — while orphan_mutex_ is held.  Survivors (and
@@ -268,12 +324,13 @@ void Domain::drain() {
   std::vector<Retired> grabbed;
   {
     std::lock_guard<std::mutex> lock(orphan_mutex_);
-    grabbed.swap(orphans_);
+    grabbed = orphans_.take();
   }
   free_eligible(grabbed, global);
   if (!grabbed.empty()) {
     std::lock_guard<std::mutex> lock(orphan_mutex_);
-    orphans_.insert(orphans_.end(), grabbed.begin(), grabbed.end());
+    orphans_.items.insert(orphans_.items.end(), grabbed.begin(),
+                          grabbed.end());
   }
 }
 
@@ -294,7 +351,12 @@ void Domain::detach_current_thread() {
 }
 
 std::size_t Domain::pending() const {
-  return pending_.load(std::memory_order_relaxed);
+  std::size_t total = 0;
+  for (const auto& slot : slots_) {
+    total += slot->retirees.load(std::memory_order_relaxed);
+  }
+  std::lock_guard<std::mutex> lock(orphan_mutex_);
+  return total + orphans_.size();
 }
 
 }  // namespace cats::reclaim

@@ -13,7 +13,6 @@ namespace detail {
 
 // Shared by every BasicTreap instantiation (see treap_impl.hpp).
 cats::atomic<std::uint32_t> g_leaf_fill{kLeafCapacity};
-cats::atomic<std::size_t> g_live_nodes{0};
 
 }  // namespace detail
 
@@ -30,10 +29,6 @@ void set_leaf_fill(std::uint32_t fill) {
 
 std::uint32_t leaf_fill() {
   return detail::g_leaf_fill.load(std::memory_order_relaxed);
-}
-
-std::size_t live_nodes() {
-  return detail::g_live_nodes.load(std::memory_order_relaxed);
 }
 
 #if CATS_CHECKED_ENABLED

@@ -146,9 +146,6 @@ inline bool check_invariants(const Node* tree) {
 inline bool validate(const Node* tree, check::Report* report) {
   return Impl::validate(tree, report);
 }
-/// Total live node count across all trees — and all key-type instantiations
-/// (leak detection in tests).
-std::size_t live_nodes();
 
 #if CATS_CHECKED_ENABLED
 namespace testing {

@@ -40,12 +40,9 @@ inline constexpr std::uint32_t kLeafCapacity = 64;
 
 namespace detail {
 
-/// Effective leaf fill limit and process-wide live-node counter, shared by
-/// every BasicTreap instantiation (defined in treap.cpp).  Sharing keeps the
-/// leak checks ("no treap node outlives its tree") meaningful across mixed
-/// key-type workloads, exactly as before the template conversion.
+/// Effective leaf fill limit, shared by every BasicTreap instantiation
+/// (defined in treap.cpp).
 extern cats::atomic<std::uint32_t> g_leaf_fill;
-extern cats::atomic<std::size_t> g_live_nodes;
 
 /// Records one violated invariant against `report` (when non-null) and
 /// always evaluates to false so call sites read `ok = flag(...)`.
@@ -122,13 +119,11 @@ struct BasicTreap {
          std::uint8_t height_, bool is_leaf_)
         : rc(1), size(size_), min_key(min_), max_key(max_), height(height_),
           is_leaf(is_leaf_) {
-      detail::g_live_nodes.fetch_add(1, std::memory_order_relaxed);
       CATS_OBS_ONLY(obs::count(obs::GCounter::kTreapNodeAllocs));
     }
     ~Node() {
       CATS_CHECKED_ONLY(
           check::canary_expect_alive(check_canary, "treap node (destructor)"));
-      detail::g_live_nodes.fetch_sub(1, std::memory_order_relaxed);
       CATS_OBS_ONLY(obs::count(obs::GCounter::kTreapNodeFrees));
     }
 

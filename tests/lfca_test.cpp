@@ -529,6 +529,71 @@ TEST(LfcaRangeRetry, HelperMarkedBaseCountsAsAdvanced) {
   }
 }
 
+// --- Join completion vs late helpers (paper lines 251-267). ----------------
+
+thread_local bool tl_is_joiner = false;
+
+// A helper that finds a join in flight caches m->neigh1 and m->parent and
+// touches them.  Its guard may have begun after the joiner already unlinked
+// neigh1, so the joiner must not retire what it unlinked before it marks the
+// join done: otherwise two epoch advances free neigh1 under the helper.
+TEST(LfcaJoin, LateHelperKeepsUnlinkedNodesAlive) {
+  reclaim::Domain domain;
+  {
+    LfcaTree tree(domain);
+    for (Key k = 0; k < 200; ++k) tree.insert(k, 1);
+    ASSERT_TRUE(tree.force_split(100));
+    domain.drain();
+    ASSERT_EQ(domain.pending(), 0u);
+
+    StageGate gate;
+    tree.testing_join_step_hook = [&](int phase) {
+      if (tl_is_joiner && phase == 1) {
+        // The joiner swapped neigh1 for the joined base: hold it before
+        // the done mark until the helper below is parked.
+        gate.advance_to(1);
+        EXPECT_TRUE(gate.wait_for_stage(3));
+      } else if (!tl_is_joiner && phase == 0) {
+        // The helper saw the join in flight; it will touch neigh1 next.
+        gate.advance_to(3);
+        EXPECT_TRUE(gate.wait_for_stage(5));
+      }
+    };
+    std::thread joiner([&] {
+      tl_is_joiner = true;
+      EXPECT_TRUE(tree.force_join(50));  // joins [0, 100) with [100, 200)
+      domain.detach_current_thread();    // its retirements become orphans
+      gate.advance_to(4);
+    });
+    EXPECT_TRUE(gate.wait_for_stage(1));
+    domain.drain();  // one advance: the joiner's guard pins the next one
+    std::thread helper([&] {
+      if (!gate.wait_for_stage(2)) return;
+      tree.insert(150, 2);  // meets the joined base and helps the join
+      domain.detach_current_thread();
+    });
+    gate.advance_to(2);
+    EXPECT_TRUE(gate.wait_for_stage(4));
+    // One more advance is possible past the helper's announced epoch.  The
+    // nodes the completion unlinked (neigh1, parent, m) must all survive it.
+    domain.drain();
+    EXPECT_GE(domain.pending(), 3u);
+    gate.advance_to(5);
+    joiner.join();
+    helper.join();
+    tree.testing_join_step_hook = nullptr;
+
+    for (Key k = 0; k < 200; ++k) {
+      Value v = 0;
+      ASSERT_TRUE(tree.lookup(k, &v)) << k;
+      EXPECT_EQ(v, k == 150 ? 2u : 1u) << k;
+    }
+    EXPECT_TRUE(tree.check_integrity());
+  }
+  domain.drain();
+  EXPECT_EQ(domain.pending(), 0u);
+}
+
 // --- Concurrent stress. ------------------------------------------------------
 
 // Per-key-slice ownership: thread t exclusively owns keys with k % T == t,

@@ -1,8 +1,9 @@
 // Additional reclamation tests: multi-domain usage, epoch monotonicity,
-// orphan adoption on thread exit, hazard-pointer holder discipline, and
-// cross-checking both schemes against the same workload.
+// orphan adoption on thread exit, paced freeing, hazard-pointer holder
+// discipline, and cross-checking both schemes against the same workload.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 #include <vector>
@@ -95,6 +96,146 @@ TEST(EbrExtra, PendingCountTracksRetirements) {
   const std::size_t base = domain.pending();
   for (int i = 0; i < 10; ++i) domain.retire(new Counted());
   EXPECT_EQ(domain.pending(), base + 10);
+  domain.drain();
+  EXPECT_EQ(domain.pending(), 0u);
+}
+
+TEST(EbrExtra, OrphansFreedByLiveThreadWithoutDrain) {
+  // Exited threads' retirements must not wait for a drain() that a
+  // long-running process never calls: a live thread that keeps retiring
+  // frees them a bounded slice at a time.
+  Domain domain;
+  static std::atomic<int> orphans_live{0};
+  const auto orphan_deleter = [](void* p) {
+    delete static_cast<Counted*>(p);
+    orphans_live.fetch_sub(1);
+  };
+  std::thread worker([&] {
+    for (int i = 0; i < 500; ++i) {
+      orphans_live.fetch_add(1);
+      domain.retire(new Counted(), orphan_deleter);
+    }
+  });
+  worker.join();
+  ASSERT_GT(orphans_live.load(), 0);  // the worker left some behind
+  for (int i = 0; i < 20'000 && orphans_live.load() > 0; ++i) {
+    domain.retire(new Counted());
+  }
+  EXPECT_EQ(orphans_live.load(), 0);
+  domain.drain();
+}
+
+// --- paced freeing ----------------------------------------------------------
+
+std::atomic<int> g_deleted{0};
+void counting_deleter(void* p) {
+  delete static_cast<Counted*>(p);
+  g_deleted.fetch_add(1);
+}
+
+TEST(EbrPacing, NoRetireRunsMoreThanTheFreeBudget) {
+  Domain domain;
+  const int deleted_before = g_deleted.load();
+  // An exited thread's orphans share the budget with the caller's own FIFO.
+  std::thread worker([&] {
+    for (int i = 0; i < 500; ++i) {
+      domain.retire(new Counted(), &counting_deleter);
+    }
+  });
+  worker.join();
+  const std::size_t orphaned = domain.pending();
+  ASSERT_GT(orphaned, 0u);
+  int most_in_one_call = 0;
+  for (int i = 0; i < 10'000; ++i) {
+    const int before = g_deleted.load();
+    domain.retire(new Counted(), &counting_deleter);
+    most_in_one_call = std::max(most_in_one_call, g_deleted.load() - before);
+    // No reader pins the epoch, so the backlog stays within a few drain
+    // periods instead of growing with i.
+    ASSERT_LE(domain.pending(), orphaned + 4 * Domain::kDrainThreshold);
+  }
+  EXPECT_LE(most_in_one_call, static_cast<int>(Domain::kFreeBudget));
+  EXPECT_LE(domain.pending(), 4 * Domain::kDrainThreshold);  // orphans too
+  EXPECT_GT(g_deleted.load() - deleted_before, 9'500);
+  domain.drain();
+  EXPECT_EQ(domain.pending(), 0u);
+}
+
+struct Reentrant {
+  static Domain* domain;
+  static int depth;
+  static int max_depth;
+  static int children_live;
+
+  static void child_deleter(void* p) {
+    max_depth = std::max(max_depth, ++depth);
+    delete static_cast<Counted*>(p);
+    --children_live;
+    --depth;
+  }
+  static void parent_deleter(void* p) {
+    max_depth = std::max(max_depth, ++depth);
+    delete static_cast<Counted*>(p);
+    ++children_live;
+    domain->retire(new Counted(), &child_deleter);
+    --depth;
+  }
+};
+Domain* Reentrant::domain = nullptr;
+int Reentrant::depth = 0;
+int Reentrant::max_depth = 0;
+int Reentrant::children_live = 0;
+
+TEST(EbrPacing, DeleterThatRetiresIsFreedLaterWithoutRecursion) {
+  Domain domain;
+  Reentrant::domain = &domain;
+  const int before = Counted::live.load();
+  for (int i = 0; i < 2'000; ++i) {
+    domain.retire(new Counted(), &Reentrant::parent_deleter);
+  }
+  EXPECT_EQ(Reentrant::max_depth, 1);  // no deleter ran inside another
+  EXPECT_GT(Reentrant::children_live, 0);  // enqueued, not freed on the spot
+  // drain() frees what is eligible when it starts; the children its own
+  // deleters retire wait for the next one.
+  domain.drain();
+  EXPECT_EQ(domain.pending(),
+            static_cast<std::size_t>(Reentrant::children_live));
+  domain.drain();
+  EXPECT_EQ(Reentrant::children_live, 0);
+  EXPECT_EQ(Reentrant::max_depth, 1);
+  EXPECT_EQ(domain.pending(), 0u);
+  EXPECT_EQ(Counted::live.load(), before);
+}
+
+TEST(EbrPacing, GuardOnAnotherThreadBlocksEveryFreeUntilReleased) {
+  Domain domain;
+  std::atomic<bool> in_guard{false};
+  std::atomic<bool> release{false};
+  std::thread reader([&] {
+    Domain::Guard guard(domain);
+    in_guard.store(true);
+    while (!release.load()) std::this_thread::yield();
+  });
+  while (!in_guard.load()) std::this_thread::yield();
+  const int deleted_before = g_deleted.load();
+  constexpr int kPinned = 1'000;
+  for (int i = 0; i < kPinned; ++i) {
+    domain.retire(new Counted(), &counting_deleter);
+  }
+  EXPECT_EQ(g_deleted.load(), deleted_before);  // the guard blocks every free
+  EXPECT_EQ(domain.pending(), static_cast<std::size_t>(kPinned));
+  release.store(true);
+  reader.join();
+  // No drain(): ordinary retires work the backlog off, a slice at a time,
+  // down to the steady state of an unpinned thread.
+  const auto drained = [&] {
+    return g_deleted.load() - deleted_before >= kPinned &&
+           domain.pending() <= 4 * Domain::kDrainThreshold;
+  };
+  for (int i = 0; i < 20'000 && !drained(); ++i) {
+    domain.retire(new Counted(), &counting_deleter);
+  }
+  EXPECT_TRUE(drained()) << domain.pending() << " still pending";
   domain.drain();
   EXPECT_EQ(domain.pending(), 0u);
 }

@@ -153,10 +153,10 @@ TEST(SimScenario, JoinVsInsertLookup) {
   EXPECT_GT(r.schedules_explored, 1u);
 }
 
-// EBR: a reader inside a guard overlaps retire + drain.  The epoch
-// machinery must order the eventual free after the reader's last access
-// in every schedule (quarantined frees are checked against the reader's
-// vector clock).
+// EBR: a reader inside a guard overlaps retire, an epoch advance, a paced
+// free and a drain.  The epoch machinery must order the eventual free after
+// the reader's last access in every schedule (quarantined frees are checked
+// against the reader's vector clock).
 struct TestObj {
   int v = 0;
   explicit TestObj(int x) : v(x) {}
@@ -173,30 +173,42 @@ struct TestObj {
   }
 };
 
-TEST(SimScenario, EbrAdvanceRetire) {
-  // Bound 2: the interesting window (reader between guard exit and detach
-  // while the writer drains) takes two preemptions to reach — mirrored by
-  // the fire twin below, which must find its planted bug there.
-  sim::Result r =
-      run_reported("EbrAdvanceRetire", dfs_options(4000, 2), [] {
-    Domain domain;
-    cats::atomic<TestObj*> slot{new TestObj(42)};
-    cats::sim_thread reader([&] {
-      {
-        Domain::Guard g(domain);
-        TestObj* p = slot.load(std::memory_order_acquire);
-        if (p != nullptr) {
-          sim::check(cats::sim_plain_read(p->v) == 42, "torn read");
-        }
+// The writer unlinks and retires the node, then retires fillers up to the
+// kDrainThreshold-th retire, which attempts an epoch advance and then runs a
+// paced free of up to kFreeBudget entries.  `grace_epochs` is the
+// eligibility rule under test (2 is correct).
+void ebr_paced_scenario(std::uint64_t grace_epochs) {
+  Domain domain;
+  domain.set_grace_epochs_for_testing(grace_epochs);
+  cats::atomic<TestObj*> slot{new TestObj(42)};
+  cats::sim_thread reader([&] {
+    {
+      Domain::Guard g(domain);
+      TestObj* p = slot.load(std::memory_order_acquire);
+      if (p != nullptr) {
+        sim::check(cats::sim_plain_read(p->v) == 42, "torn read");
       }
-      domain.detach_current_thread();
-    });
-    TestObj* p = slot.exchange(nullptr, std::memory_order_acq_rel);
-    domain.retire(p);
-    domain.drain();  // may be blocked by the reader's guard: that is the point
-    reader.join();
-    domain.drain();
+    }
+    domain.detach_current_thread();
   });
+  TestObj* p = slot.exchange(nullptr, std::memory_order_acq_rel);
+  domain.retire(p);
+  static_assert(Domain::kDrainThreshold % Domain::kFreePeriod == 0);
+  for (std::size_t i = 1; i < Domain::kDrainThreshold; ++i) {
+    domain.retire(new TestObj(0));
+  }
+  domain.drain();  // may be blocked by the reader's guard: that is the point
+  reader.join();
+  domain.drain();
+}
+
+TEST(SimScenario, EbrAdvanceRetire) {
+  // Bound 2: the interesting window (reader between its read and guard
+  // exit while the writer advances and frees) takes two preemptions to
+  // reach — mirrored by the fire twins below, which must find their
+  // planted bugs there.
+  sim::Result r = run_reported("EbrAdvanceRetire", dfs_options(4000, 2),
+                               [] { ebr_paced_scenario(2); });
   EXPECT_FALSE(r.failed) << r.failure_message << "\n" << r.failure_trace;
   EXPECT_GT(r.schedules_explored, 1u);
 }
@@ -227,6 +239,22 @@ TEST(SimScenario, EbrEarlyGuardExitFires) {
         domain.drain();
       });
   ASSERT_TRUE(r.failed) << "planted early-guard-exit bug not found in "
+                        << r.schedules_explored << " schedules";
+  const bool mentions_free =
+      r.failure_message.find("free") != std::string::npos ||
+      r.failure_message.find("reclaim") != std::string::npos;
+  EXPECT_TRUE(mentions_free) << r.failure_message;
+  EXPECT_FALSE(r.failure_schedule.empty());  // replayable
+}
+
+// Planted bug: off-by-one eligibility (epoch + 1 <= global).  One advance
+// past a reader's announced epoch already frees what that reader may hold,
+// so the paced free at the advancing retire races with the reader's access.
+TEST(SimScenario, EbrOffByOneEligibilityFires) {
+  sim::Result r = run_reported("EbrOffByOneEligibilityFires",
+                               dfs_options(4000, 2),
+                               [] { ebr_paced_scenario(1); });
+  ASSERT_TRUE(r.failed) << "planted off-by-one eligibility not found in "
                         << r.schedules_explored << " schedules";
   const bool mentions_free =
       r.failure_message.find("free") != std::string::npos ||
