@@ -9,10 +9,12 @@
 #include <chrono>
 #include <cstdio>
 #include <iostream>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "harness/cli.hpp"
 #include "harness/runner.hpp"
 #include "harness/workload.hpp"
 #include "imtr/imtr_set.hpp"
@@ -164,7 +166,7 @@ BENCHMARK(BM_StructureInsertRemove<skiplist::SkipList>)
 // served live at /metrics, /stats.json, /topology.json and /healthz while
 // the mix is running.
 // ---------------------------------------------------------------------------
-void run_metrics_demo(const harness::Options& opt, double duration) {
+void run_metrics_demo(const harness::Options& opt) {
 #if CATS_OBS_ENABLED
   // Quiescent here — the worker threads haven't started yet.
   obs::Registry::instance().reset();
@@ -181,7 +183,7 @@ void run_metrics_demo(const harness::Options& opt, double duration) {
     harness::MonitoredRun monitored(opt, harness::tree_stats_source(tree),
                                     harness::tree_topology_source(tree));
     const harness::Mix mix = harness::Mix::of_percent(80, 10, 10, 256);
-    harness::run_mix(tree, 4, mix, 1 << 14, duration);
+    harness::run_mix(tree, 4, mix, 1 << 14, opt.duration);
     // The mix above splits under real contention; add a deterministic round
     // of forced adaptations so the exported data always shows both
     // directions, even on a single-core host where the contended phase
@@ -204,7 +206,6 @@ void run_metrics_demo(const harness::Options& opt, double duration) {
   domain.drain();
 #else
   (void)opt;
-  (void)duration;
   std::printf("\n(CATS_OBS=OFF: metrics export compiled out)\n");
 #endif
 }
@@ -212,53 +213,30 @@ void run_metrics_demo(const harness::Options& opt, double duration) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // The metrics demo's flags are ours, not google-benchmark's; pull them
-  // out before Initialize (ReportUnrecognizedArguments rejects unknowns).
-  cats::harness::Options opt;
-  opt.monitor_interval_ms = 50;
-  opt.metrics_out = "bench_micro_metrics.json";
-  opt.series_out = "bench_micro_series.csv";
-  double demo_duration = 0.3;
-  int kept = 1;
+  // Arguments starting with --benchmark_ go to google-benchmark; every
+  // other one is a harness flag for the metrics demo (harness/cli.hpp),
+  // whose --duration sets the demo's length.
+  std::vector<char*> bench_args{argv[0]};
+  std::vector<char*> demo_args{argv[0]};
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&](const char* prefix) -> const char* {
-      return arg.compare(0, std::strlen(prefix), prefix) == 0
-                 ? arg.c_str() + std::strlen(prefix)
-                 : nullptr;
-    };
-    if (const char* v = value("--monitor-interval-ms=")) {
-      opt.monitor_interval_ms = std::atoi(v);
-    } else if (const char* v = value("--monitor-port=")) {
-      opt.monitor_port = std::atoi(v);
-    } else if (const char* v = value("--metrics-out=")) {
-      opt.metrics_out = v;
-    } else if (const char* v = value("--series-out=")) {
-      opt.series_out = v;
-    } else if (const char* v = value("--trace-out=")) {
-      // Same contract as the strict CLI (harness/cli.hpp): a trace request
-      // against a build with no recorder is an error, not a no-op.
-      if (!cats::obs::kEnabled) {
-        std::fprintf(
-            stderr,
-            "--trace-out: flight recorder compiled out (CATS_OBS=OFF)\n");
-        return 2;
-      }
-      opt.trace_out = v;
-    } else if (const char* v = value("--trace-sample-shift=")) {
-      opt.trace_sample_shift = std::atoi(v);
-    } else if (const char* v = value("--demo-duration=")) {
-      demo_duration = std::atof(v);
-    } else {
-      argv[kept++] = argv[i];
-    }
+    const bool ours = !std::string_view(argv[i]).starts_with("--benchmark_");
+    (ours ? demo_args : bench_args).push_back(argv[i]);
   }
-  argc = kept;
+  cats::harness::Options defaults;
+  defaults.duration = 0.3;
+  defaults.monitor_interval_ms = 50;
+  defaults.metrics_out = "bench_micro_metrics.json";
+  defaults.series_out = "bench_micro_series.csv";
+  const cats::harness::Options opt = cats::harness::Options::parse(
+      static_cast<int>(demo_args.size()), demo_args.data(), defaults);
 
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  int bench_argc = static_cast<int>(bench_args.size());
+  benchmark::Initialize(&bench_argc, bench_args.data());
+  if (benchmark::ReportUnrecognizedArguments(bench_argc, bench_args.data())) {
+    return 1;
+  }
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  run_metrics_demo(opt, demo_duration);
+  run_metrics_demo(opt);
   return 0;
 }

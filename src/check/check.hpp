@@ -18,7 +18,7 @@
 //     double-retire and double-free into immediate diagnostics instead of
 //     silent corruption.
 //   * Retired-pointer registry — `on_retire`/`on_reclaim` bracket every
-//     EBR/hazard retirement, detect double retires across domains, and feed
+//     EBR retirement, detect double retires across domains, and feed
 //     an at-exit leak census with per-call-site counts.
 //
 // Mirrors the CATS_OBS pattern (obs/obs.hpp): `CATS_CHECKED_ENABLED` is

@@ -277,7 +277,12 @@ struct Options {
   }
 
   static Options parse(int argc, char** argv) {
-    Options opt;
+    return parse(argc, argv, Options());
+  }
+
+  /// parse_into over `opt`'s values as defaults; prints the error and exits
+  /// 2 on a bad flag, prints the flag list and exits 0 on --help.
+  static Options parse(int argc, char** argv, Options opt) {
     std::string error;
     bool help = false;
     if (!parse_into(argc, argv, opt, error, &help)) {

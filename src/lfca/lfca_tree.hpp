@@ -182,21 +182,20 @@ class BasicLfcaTree {
   void complete_join(Node* m);
   Node* parent_of(Node* r) const;
 
+  /// collect_topology's census of the subtree at `n`, whose key interval
+  /// starts at `lo`.
+  static void topology_walk(Node* n, std::uint32_t route_depth, Key lo,
+                            obs::TopologySnapshot& out);
+
   void retire(Node* n);
   void count_range_query(std::size_t bases_traversed) const;
   /// Route depth of the base node currently covering `key` (for the
   /// adaptation trace; racy walk, adaptation events only).
   std::uint32_t depth_of(Key key) const;
 
-  /// Paper counters: always maintained (Tables 1-2 and the adaptation
-  /// tests read them through stats()).
+  /// Every tree counter, in every build (read back through stats()).
   void count(TreeCounter c, std::uint64_t n = 1) const {
     counters_.add(c, n);
-  }
-  /// Diagnostic counters: compiled to nothing when CATS_OBS is off.
-  void count_obs([[maybe_unused]] TreeCounter c,
-                 [[maybe_unused]] std::uint64_t n = 1) const {
-    CATS_OBS_ONLY(counters_.add(c, n));
   }
 
   reclaim::Domain& domain_;

@@ -214,8 +214,8 @@ void BasicLfcaTree<C>::help_if_needed(Node* n) {
       n->neigh2.compare_exchange_strong(expected, Node::aborted(),
                                         std::memory_order_acq_rel);
     } else if (detail::is_real<C>(state)) {
-      count(TreeCounter::kHelps);
-      count_obs(TreeCounter::kHelpJoins);
+      count(TreeCounter::helps);
+      count(TreeCounter::help_joins);
       CATS_OBS_ONLY(n->heat_helps.fetch_add(1, std::memory_order_relaxed));
       complete_join(n);
     }
@@ -223,8 +223,8 @@ void BasicLfcaTree<C>::help_if_needed(Node* n) {
              cats::sim_plain_read(n->storage)
                      ->result.load(std::memory_order_acquire) ==
                  detail::not_set<C>()) {
-    count(TreeCounter::kHelps);
-    count_obs(TreeCounter::kHelpRanges);
+    count(TreeCounter::helps);
+    count(TreeCounter::help_ranges);
     CATS_OBS_ONLY(n->heat_helps.fetch_add(1, std::memory_order_relaxed));
     all_in_range(cats::sim_plain_read(n->lo), cats::sim_plain_read(n->hi),
                  cats::sim_plain_read(n->storage));
@@ -326,13 +326,13 @@ bool BasicLfcaTree<C>::do_update(UpdateKind kind, Key key, Value value) {
         return kind == UpdateKind::kInsert ? !changed : changed;
       }
       delete newb;  // catslint: direct-delete(never published; CAS lost)
-      count_obs(TreeCounter::kUpdateCasFails);
+      count(TreeCounter::update_cas_fails);
       CATS_OBS_ONLY({
         ++pending_cas_fails;
         obs::flight::note_cas_fail();
       });
     } else {
-      count_obs(TreeCounter::kUpdateBlockedRetries);
+      count(TreeCounter::update_blocked_retries);
     }
     info = ContentionInfo::kContended;
     // Feed the conflict into the current base node's statistics at event
@@ -350,7 +350,7 @@ bool BasicLfcaTree<C>::do_update(UpdateKind kind, Key key, Value value) {
     // the pseudo-code's behaviour.
     if (base->stat.load(std::memory_order_relaxed) <= config_.high_cont) {
       base->stat.fetch_add(config_.cont_contrib, std::memory_order_relaxed);
-      count_obs(TreeCounter::kContentionEvents);
+      count(TreeCounter::contention_events);
     }
     help_if_needed(base);
   }
@@ -380,10 +380,10 @@ bool BasicLfcaTree<C>::lookup(Key key, Value* value_out) const {
 // Paper lines 277-287.
 template <class C>
 bool BasicLfcaTree<C>::high_contention_adaptation(Node* b) {
-  count_obs(TreeCounter::kSplitAttempts);
+  count(TreeCounter::split_attempts);
   const typename C::Node* b_data = cats::sim_plain_read(b->data);
   if (C::less_than_two_items(b_data)) {
-    count_obs(TreeCounter::kSplitRefusedSmall);
+    count(TreeCounter::split_refused_small);
     return false;
   }
   [[maybe_unused]] const int stat = b->stat.load(std::memory_order_relaxed);
@@ -416,7 +416,7 @@ bool BasicLfcaTree<C>::high_contention_adaptation(Node* b) {
 #endif
 
   if (try_replace(b, r)) {
-    count(TreeCounter::kSplits);
+    count(TreeCounter::splits);
     CATS_OBS_ONLY({
       obs::record(obs::GHistogram::kSplitLeafItems, C::size(b->data));
       obs::trace_adapt(obs::AdaptKind::kSplit, depth_of(split_key), stat);
@@ -426,7 +426,7 @@ bool BasicLfcaTree<C>::high_contention_adaptation(Node* b) {
   delete lb;  // catslint: direct-delete(never published; split CAS lost)
   delete rb;  // catslint: direct-delete(never published; split CAS lost)
   delete r;   // catslint: direct-delete(never published; split CAS lost)
-  count_obs(TreeCounter::kSplitFailedCas);
+  count(TreeCounter::split_failed_cas);
   CATS_OBS_ONLY(
       obs::trace_adapt(obs::AdaptKind::kSplitFailed, depth_of(split_key),
                        stat));
@@ -438,7 +438,7 @@ template <class C>
 bool BasicLfcaTree<C>::low_contention_adaptation(Node* b) {
   Node* parent = cats::sim_plain_read(b->parent);
   if (parent == nullptr) return false;
-  count_obs(TreeCounter::kJoinAttempts);
+  count(TreeCounter::join_attempts);
   [[maybe_unused]] const int stat = b->stat.load(std::memory_order_relaxed);
   [[maybe_unused]] const Key probe = cats::sim_plain_read(parent->key);
   Node* m = nullptr;
@@ -449,12 +449,12 @@ bool BasicLfcaTree<C>::low_contention_adaptation(Node* b) {
   }
   if (m != nullptr) {
     complete_join(m);
-    count(TreeCounter::kJoins);
+    count(TreeCounter::joins);
     CATS_OBS_ONLY(
         obs::trace_adapt(obs::AdaptKind::kJoin, depth_of(probe), stat));
     return true;
   }
-  count(TreeCounter::kAbortedJoins);
+  count(TreeCounter::aborted_joins);
   CATS_OBS_ONLY(
       obs::trace_adapt(obs::AdaptKind::kJoinAborted, depth_of(probe), stat));
   return false;
@@ -741,8 +741,8 @@ typename BasicLfcaTree<C>::Node* BasicLfcaTree<C>::find_next_base_stack(
 
 template <class C>
 void BasicLfcaTree<C>::count_range_query(std::size_t bases_traversed) const {
-  count(TreeCounter::kRangeQueries);
-  count(TreeCounter::kRangeBasesTraversed, bases_traversed);
+  count(TreeCounter::range_queries);
+  count(TreeCounter::range_bases_traversed, bases_traversed);
   CATS_OBS_ONLY(obs::record(obs::GHistogram::kRangeBasesTraversed,
                             bases_traversed));
 }
@@ -794,7 +794,7 @@ const typename C::Node* BasicLfcaTree<C>::all_in_range(
       Node* n = detail::new_range_base<C>(b, lo, hi, my_s);
       if (!try_replace(b, n)) {
         delete n;  // catslint: direct-delete(never published; CAS lost)
-        count_obs(TreeCounter::kRangeCasFails);
+        count(TreeCounter::range_cas_fails);
         CATS_OBS_ONLY({
           ++pending_cas_fails;
           obs::flight::note_cas_fail();
@@ -862,7 +862,7 @@ const typename C::Node* BasicLfcaTree<C>::all_in_range(
           advanced = true;
         } else {
           delete n;  // catslint: direct-delete(never published; CAS lost)
-          count_obs(TreeCounter::kRangeCasFails);
+          count(TreeCounter::range_cas_fails);
           CATS_OBS_ONLY({
             ++pending_cas_fails;
             obs::flight::note_cas_fail();
@@ -947,7 +947,7 @@ void BasicLfcaTree<C>::range_query(Key lo, Key hi, ItemVisitor visit) const {
         C::for_range(n->data, lo, hi, visit);
         ++base_count;
       }
-      count(TreeCounter::kOptimisticRanges);
+      count(TreeCounter::optimistic_ranges);
       count_range_query(base_count);
       if (base_count > 1) {
         // Feed the multi-base observation into the heuristics (see the file
@@ -959,7 +959,7 @@ void BasicLfcaTree<C>::range_query(Key lo, Key hi, ItemVisitor visit) const {
       }
       return;
     }
-    count(TreeCounter::kFallbackRanges);
+    count(TreeCounter::fallback_ranges);
   }
 
   const typename C::Node* result = self->all_in_range(lo, hi, nullptr);
@@ -987,61 +987,6 @@ std::size_t count_routes(Node<C>* n) {
   if (n->type != NodeType::kRoute) return 0;
   return 1 + count_routes<C>(n->left.load(std::memory_order_acquire)) +
          count_routes<C>(n->right.load(std::memory_order_acquire));
-}
-
-/// Topology walk (see BasicLfcaTree::collect_topology).  Must run inside an
-/// EBR guard: child pointers are acquire-loaded, so every node reached was
-/// published before we saw it, its immutable fields (type, data, parent)
-/// are complete, and the guard keeps even concurrently-unlinked nodes
-/// allocated until we are done.  The only mutable fields read are atomics
-/// (valid, join_id, stat), so the walk is race-free by construction.
-template <class C>
-void topology_walk(Node<C>* n, std::uint32_t route_depth, typename C::Key lo,
-                   obs::TopologySnapshot& out) {
-  if (n->type == NodeType::kRoute) {
-    ++out.route_nodes;
-    if (!n->valid.load(std::memory_order_acquire)) ++out.invalid_routes;
-    if (n->join_id.load(std::memory_order_acquire) != nullptr) {
-      ++out.marked_routes;
-    }
-    topology_walk<C>(n->left.load(std::memory_order_acquire),
-                     route_depth + 1, lo, out);
-    topology_walk<C>(n->right.load(std::memory_order_acquire),
-                     route_depth + 1, n->key, out);
-    return;
-  }
-  ++out.base_nodes;
-  switch (n->type) {
-    case NodeType::kNormal: ++out.normal_bases; break;
-    case NodeType::kJoinMain:
-    case NodeType::kJoinNeighbor: ++out.joining_bases; break;
-    case NodeType::kRange: ++out.range_bases; break;
-    case NodeType::kRoute: break;  // unreachable
-  }
-  out.depth.add(route_depth);
-  if (route_depth > out.max_depth) out.max_depth = route_depth;
-  const std::size_t occupancy = C::size(n->data);
-  out.items += occupancy;
-  out.occupancy.add(occupancy);
-  const std::int64_t stat = n->stat.load(std::memory_order_relaxed);
-  if (out.base_nodes == 1 || stat < out.stat_min) out.stat_min = stat;
-  if (out.base_nodes == 1 || stat > out.stat_max) out.stat_max = stat;
-  out.stat_abs.add(static_cast<std::uint64_t>(stat < 0 ? -stat : stat));
-#if CATS_OBS_ENABLED
-  // Contention heatmap sample: the base's key interval starts at the key of
-  // the nearest ancestor whose right subtree contains it (KeyTraits min()
-  // for the leftmost path), which identifies the region spatially across
-  // snapshots even as the node pointers churn.
-  obs::BaseHeat heat;
-  heat.depth = route_depth;
-  heat.key_lo = KeyTraits<typename C::Key>::heat_coord(lo);
-  heat.key_label = KeyTraits<typename C::Key>::format(lo);
-  heat.cas_fails = n->heat_cas_fails.load(std::memory_order_relaxed);
-  heat.helps = n->heat_helps.load(std::memory_order_relaxed);
-  heat.items = occupancy;
-  heat.stat = stat;
-  out.add_base_heat(heat);
-#endif
 }
 
 /// Quiescent structural check: route keys form a BST and every base node's
@@ -1129,12 +1074,75 @@ bool BasicLfcaTree<C>::validate(std::string* diagnostics,
 #endif
 }
 
+// Topology walk (see collect_topology).  Must run inside an EBR guard:
+// child pointers are acquire-loaded, so every node reached was published
+// before we saw it, its immutable fields (type, data, parent) are complete,
+// and the guard keeps even concurrently-unlinked nodes allocated until we
+// are done.  The only mutable fields read are atomics (valid, join_id,
+// neigh2, stat), so the walk is race-free by construction.
+template <class C>
+void BasicLfcaTree<C>::topology_walk(Node* n, std::uint32_t route_depth,
+                                     Key lo, obs::TopologySnapshot& out) {
+  if (n->type == NodeType::kRoute) {
+    ++out.route_nodes;
+    if (!n->valid.load(std::memory_order_acquire)) ++out.invalid_routes;
+    if (n->join_id.load(std::memory_order_acquire) != nullptr) {
+      ++out.marked_routes;
+    }
+    topology_walk(n->left.load(std::memory_order_acquire), route_depth + 1,
+                  lo, out);
+    topology_walk(n->right.load(std::memory_order_acquire), route_depth + 1,
+                  n->key, out);
+    return;
+  }
+  ++out.base_nodes;
+  switch (n->type) {
+    case NodeType::kNormal: ++out.normal_bases; break;
+    case NodeType::kJoinMain:
+    case NodeType::kJoinNeighbor:
+      // An aborted or completed join leaves its base replaceable, and so
+      // normal, until the next update replaces it.
+      if (is_replaceable(n)) {
+        ++out.normal_bases;
+      } else {
+        ++out.joining_bases;
+      }
+      break;
+    case NodeType::kRange: ++out.range_bases; break;
+    case NodeType::kRoute: break;  // unreachable
+  }
+  out.depth.add(route_depth);
+  if (route_depth > out.max_depth) out.max_depth = route_depth;
+  const std::size_t occupancy = C::size(n->data);
+  out.items += occupancy;
+  out.occupancy.add(occupancy);
+  const std::int64_t stat = n->stat.load(std::memory_order_relaxed);
+  if (out.base_nodes == 1 || stat < out.stat_min) out.stat_min = stat;
+  if (out.base_nodes == 1 || stat > out.stat_max) out.stat_max = stat;
+  out.stat_abs.add(static_cast<std::uint64_t>(stat < 0 ? -stat : stat));
+#if CATS_OBS_ENABLED
+  // Contention heatmap sample: the base's key interval starts at the key of
+  // the nearest ancestor whose right subtree contains it (KeyTraits min()
+  // for the leftmost path), which identifies the region spatially across
+  // snapshots even as the node pointers churn.
+  obs::BaseHeat heat;
+  heat.depth = route_depth;
+  heat.key_lo = KeyTraits<Key>::heat_coord(lo);
+  heat.key_label = KeyTraits<Key>::format(lo);
+  heat.cas_fails = n->heat_cas_fails.load(std::memory_order_relaxed);
+  heat.helps = n->heat_helps.load(std::memory_order_relaxed);
+  heat.items = occupancy;
+  heat.stat = stat;
+  out.add_base_heat(heat);
+#endif
+}
+
 template <class C>
 obs::TopologySnapshot BasicLfcaTree<C>::collect_topology() const {
   obs::TopologySnapshot out;
   reclaim::Domain::Guard guard(domain_);
-  detail::topology_walk<C>(root_.load(std::memory_order_acquire), 0,
-                           KeyTraits<Key>::min(), out);
+  topology_walk(root_.load(std::memory_order_acquire), 0, KeyTraits<Key>::min(),
+                out);
   return out;
 }
 
@@ -1153,26 +1161,9 @@ std::uint32_t BasicLfcaTree<C>::depth_of(Key key) const {
 template <class C>
 Stats BasicLfcaTree<C>::stats() const {
   Stats s;
-  s.splits = counters_.read(TreeCounter::kSplits);
-  s.joins = counters_.read(TreeCounter::kJoins);
-  s.aborted_joins = counters_.read(TreeCounter::kAbortedJoins);
-  s.range_queries = counters_.read(TreeCounter::kRangeQueries);
-  s.range_bases_traversed =
-      counters_.read(TreeCounter::kRangeBasesTraversed);
-  s.optimistic_ranges = counters_.read(TreeCounter::kOptimisticRanges);
-  s.fallback_ranges = counters_.read(TreeCounter::kFallbackRanges);
-  s.helps = counters_.read(TreeCounter::kHelps);
-  s.split_attempts = counters_.read(TreeCounter::kSplitAttempts);
-  s.split_failed_cas = counters_.read(TreeCounter::kSplitFailedCas);
-  s.split_refused_small = counters_.read(TreeCounter::kSplitRefusedSmall);
-  s.join_attempts = counters_.read(TreeCounter::kJoinAttempts);
-  s.update_cas_fails = counters_.read(TreeCounter::kUpdateCasFails);
-  s.update_blocked_retries =
-      counters_.read(TreeCounter::kUpdateBlockedRetries);
-  s.contention_events = counters_.read(TreeCounter::kContentionEvents);
-  s.range_cas_fails = counters_.read(TreeCounter::kRangeCasFails);
-  s.help_joins = counters_.read(TreeCounter::kHelpJoins);
-  s.help_ranges = counters_.read(TreeCounter::kHelpRanges);
+#define CATS_LFCA_READ(name) s.name = counters_.read(TreeCounter::name);
+  CATS_LFCA_TREE_COUNTERS(CATS_LFCA_READ)
+#undef CATS_LFCA_READ
   return s;
 }
 

@@ -1,100 +1,60 @@
 // Runtime statistics of an LFCA tree.
 //
-// The original eight counters reproduce the measurements of the paper's
+// The first eight counters reproduce the measurements of the paper's
 // Tables 1 and 2 (split and join rates, base nodes traversed per range
-// query); the remaining counters instrument the contention-detection and
-// help machinery itself: CAS failures per operation type, blocked-retry
-// loops, split/join attempts vs. successes vs. aborts, and the §6
-// optimistic-range fast path.  All counters are maintained in a per-tree
-// sharded block (obs/counters.hpp): per-thread cache-line-padded cells with
-// relaxed increments on the hot paths, aggregated on read — exact in
-// quiescence, slightly approximate under concurrency, which is all the
-// paper's tables (and these diagnostics) require.
+// query); the rest instrument the contention-detection and help machinery
+// itself: CAS failures per operation type, blocked-retry loops, split/join
+// attempts vs. successes vs. aborts, and the §6 optimistic-range fast path.
+// Every counter is kept in every build, in a per-tree sharded block
+// (obs/counters.hpp): per-thread cache-line-padded cells with relaxed
+// increments on the hot paths, aggregated on read — exact in quiescence,
+// slightly approximate under concurrency, which is all the paper's tables
+// (and these diagnostics) require.
 #pragma once
 
 #include <cstdint>
+#include <string>
 
 #include "obs/export.hpp"
 
 namespace cats::lfca {
 
+/// The tree's counters, one X(name) each, in TreeCounter order.  Each name
+/// is the TreeCounter enumerator, the Stats field and, after a prefix, the
+/// exported metric name.
+#define CATS_LFCA_TREE_COUNTERS(X)                                           \
+  X(splits)                                                                  \
+  X(joins)                                                                   \
+  X(aborted_joins)                                                           \
+  X(range_queries)          /* completed, counted by the initiator */        \
+  X(range_bases_traversed)  /* base nodes traversed by completed ranges */   \
+  X(optimistic_ranges)      /* answered by the §6 read-only fast path */     \
+  X(fallback_ranges)        /* fell back to the node-replacing algorithm */  \
+  X(helps)                  /* calls that helped another thread's op */      \
+  X(split_attempts)         /* high_contention_adaptation entered */         \
+  X(split_failed_cas)       /* split built but lost its installing CAS */    \
+  X(split_refused_small)    /* split refused: leaf had < 2 items */          \
+  X(join_attempts)          /* low_contention_adaptation entered */          \
+  X(update_cas_fails)       /* insert/remove lost the base-replacing CAS */  \
+  X(update_blocked_retries) /* insert/remove found an irreplaceable base */  \
+  X(contention_events)      /* contention fed into a base's statistics */    \
+  X(range_cas_fails)        /* range lost a range_base-installing CAS */     \
+  X(help_joins)             /* help_if_needed completed a join */            \
+  X(help_ranges)            /* help_if_needed joined a range query */
+
 /// Per-tree counter indices (the storage lives in BasicLfcaTree).
 enum class TreeCounter : std::size_t {
-  // --- the paper's Tables 1-2 measurements (always maintained) -----------
-  kSplits,
-  kJoins,
-  kAbortedJoins,
-  kRangeQueries,
-  kRangeBasesTraversed,
-  kOptimisticRanges,
-  kFallbackRanges,
-  kHelps,
-  // --- contention-detection diagnostics (CATS_OBS builds only) ------------
-  kSplitAttempts,        // high_contention_adaptation entered
-  kSplitFailedCas,       // split built but lost its installing CAS
-  kSplitRefusedSmall,    // split refused: leaf had < 2 items
-  kJoinAttempts,         // low_contention_adaptation entered
-  kUpdateCasFails,       // insert/remove lost the base-replacing CAS
-  kUpdateBlockedRetries, // insert/remove found an irreplaceable base node
-  kContentionEvents,     // contention fed into a base node's statistics
-  kRangeCasFails,        // range query lost a range_base-installing CAS
-  kHelpJoins,            // help_if_needed completed another thread's join
-  kHelpRanges,           // help_if_needed joined another thread's range query
+#define CATS_LFCA_ENUMERATOR(name) name,
+  CATS_LFCA_TREE_COUNTERS(CATS_LFCA_ENUMERATOR)
+#undef CATS_LFCA_ENUMERATOR
   kCount
 };
 
-inline const char* tree_counter_name(TreeCounter c) {
-  switch (c) {
-    case TreeCounter::kSplits: return "splits";
-    case TreeCounter::kJoins: return "joins";
-    case TreeCounter::kAbortedJoins: return "aborted_joins";
-    case TreeCounter::kRangeQueries: return "range_queries";
-    case TreeCounter::kRangeBasesTraversed: return "range_bases_traversed";
-    case TreeCounter::kOptimisticRanges: return "optimistic_ranges";
-    case TreeCounter::kFallbackRanges: return "fallback_ranges";
-    case TreeCounter::kHelps: return "helps";
-    case TreeCounter::kSplitAttempts: return "split_attempts";
-    case TreeCounter::kSplitFailedCas: return "split_failed_cas";
-    case TreeCounter::kSplitRefusedSmall: return "split_refused_small";
-    case TreeCounter::kJoinAttempts: return "join_attempts";
-    case TreeCounter::kUpdateCasFails: return "update_cas_fails";
-    case TreeCounter::kUpdateBlockedRetries: return "update_blocked_retries";
-    case TreeCounter::kContentionEvents: return "contention_events";
-    case TreeCounter::kRangeCasFails: return "range_cas_fails";
-    case TreeCounter::kHelpJoins: return "help_joins";
-    case TreeCounter::kHelpRanges: return "help_ranges";
-    case TreeCounter::kCount: break;
-  }
-  return "?";
-}
-
-/// Snapshot of the tree's internal counters (see TreeCounter for meanings).
+/// Snapshot of the tree's counters (see CATS_LFCA_TREE_COUNTERS).
 struct Stats {
-  std::uint64_t splits = 0;
-  std::uint64_t joins = 0;
-  std::uint64_t aborted_joins = 0;
-  /// Completed range queries (counted by the initiating thread).
-  std::uint64_t range_queries = 0;
-  /// Total base nodes traversed by completed range queries.
-  std::uint64_t range_bases_traversed = 0;
-  /// Range queries answered by the §6 read-only fast path.
-  std::uint64_t optimistic_ranges = 0;
-  /// Range queries that fell back to the node-replacing algorithm.
-  std::uint64_t fallback_ranges = 0;
-  /// Calls that helped another thread's operation.
-  std::uint64_t helps = 0;
-
-  // Diagnostics (zero in CATS_OBS=OFF builds).
-  std::uint64_t split_attempts = 0;
-  std::uint64_t split_failed_cas = 0;
-  std::uint64_t split_refused_small = 0;
-  std::uint64_t join_attempts = 0;
-  std::uint64_t update_cas_fails = 0;
-  std::uint64_t update_blocked_retries = 0;
-  std::uint64_t contention_events = 0;
-  std::uint64_t range_cas_fails = 0;
-  std::uint64_t help_joins = 0;
-  std::uint64_t help_ranges = 0;
+#define CATS_LFCA_FIELD(name) std::uint64_t name = 0;
+  CATS_LFCA_TREE_COUNTERS(CATS_LFCA_FIELD)
+#undef CATS_LFCA_FIELD
 
   double traversed_per_query() const {
     return range_queries == 0
@@ -107,25 +67,9 @@ struct Stats {
   /// "lfca_"), so tree statistics travel in the same exported document as
   /// the process-wide metrics.
   void append_to(obs::Snapshot& snap, const std::string& prefix) const {
-    snap.add_counter(prefix + "splits", splits);
-    snap.add_counter(prefix + "joins", joins);
-    snap.add_counter(prefix + "aborted_joins", aborted_joins);
-    snap.add_counter(prefix + "range_queries", range_queries);
-    snap.add_counter(prefix + "range_bases_traversed", range_bases_traversed);
-    snap.add_counter(prefix + "optimistic_ranges", optimistic_ranges);
-    snap.add_counter(prefix + "fallback_ranges", fallback_ranges);
-    snap.add_counter(prefix + "helps", helps);
-    snap.add_counter(prefix + "split_attempts", split_attempts);
-    snap.add_counter(prefix + "split_failed_cas", split_failed_cas);
-    snap.add_counter(prefix + "split_refused_small", split_refused_small);
-    snap.add_counter(prefix + "join_attempts", join_attempts);
-    snap.add_counter(prefix + "update_cas_fails", update_cas_fails);
-    snap.add_counter(prefix + "update_blocked_retries",
-                     update_blocked_retries);
-    snap.add_counter(prefix + "contention_events", contention_events);
-    snap.add_counter(prefix + "range_cas_fails", range_cas_fails);
-    snap.add_counter(prefix + "help_joins", help_joins);
-    snap.add_counter(prefix + "help_ranges", help_ranges);
+#define CATS_LFCA_APPEND(name) snap.add_counter(prefix + #name, name);
+    CATS_LFCA_TREE_COUNTERS(CATS_LFCA_APPEND)
+#undef CATS_LFCA_APPEND
   }
 };
 

@@ -9,10 +9,10 @@
 //
 // so an OFF build compiles them to nothing — no loads, no stores, no code.
 //
-// The paper's own eight per-tree statistics counters (splits, joins, ...,
-// Tables 1-2) are NOT behind the gate: they predate this subsystem, the
-// adaptation tests assert on them, and they now share the cheap sharded
-// implementation below.  Everything added on top of the paper is gated.
+// The 18 per-tree counters (lfca/stats.hpp: the paper's Tables 1-2 plus the
+// contention and help diagnostics) are NOT behind the gate: the paper's
+// tables and the adaptation tests read them, and they use the cheap sharded
+// implementation in obs/counters.hpp.  Everything else here is gated.
 #pragma once
 
 #ifndef CATS_OBS_ENABLED

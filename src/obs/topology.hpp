@@ -59,8 +59,8 @@ struct TopologySnapshot {
   // --- node census ---------------------------------------------------------
   std::uint64_t route_nodes = 0;
   std::uint64_t base_nodes = 0;     // all leaf kinds together
-  std::uint64_t normal_bases = 0;   // plain base nodes
-  std::uint64_t joining_bases = 0;  // join_main + join_neighbor nodes
+  std::uint64_t normal_bases = 0;   // replaceable: plain or join finished
+  std::uint64_t joining_bases = 0;  // join_main/join_neighbor, join in flight
   std::uint64_t range_bases = 0;    // range_base markers of in-flight queries
   std::uint64_t invalid_routes = 0; // routes with valid == false (mid-join)
   std::uint64_t marked_routes = 0;  // routes carrying a join_id mark

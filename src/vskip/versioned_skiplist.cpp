@@ -204,9 +204,12 @@ void VersionedSkipList::prune(Node* node, std::uint64_t min_needed) {
   if (suffix == nullptr) return;
   if (rec->next.compare_exchange_strong(suffix, nullptr,
                                         std::memory_order_acq_rel)) {
-    // We won the detach: retire the whole suffix.
+    // We won the detach: retire the whole suffix.  A pruner that chose an
+    // older cut may be detaching the same tail, so take each older link
+    // with an exchange: whoever takes a link owns the record behind it, and
+    // no record is retired twice.
     while (suffix != nullptr) {
-      Record* older = suffix->next.load(std::memory_order_relaxed);
+      Record* older = suffix->next.exchange(nullptr, std::memory_order_acq_rel);
       domain_.retire(suffix, &record_deleter);
       suffix = older;
     }

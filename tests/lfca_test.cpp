@@ -349,9 +349,7 @@ TEST(LfcaRangeRetry, FindFirstLostCasRetriesAndReusesStorage) {
   EXPECT_EQ(items[50].key, 50);
   EXPECT_EQ(items[50].value, 999u);
   EXPECT_GE(fires, 2);  // the retry re-ran find_first
-  if (obs::kEnabled) {
-    EXPECT_GE(tree.stats().range_cas_fails, 1u);
-  }
+  EXPECT_GE(tree.stats().range_cas_fails, 1u);
 }
 
 TEST(LfcaRangeRetry, AdvanceLostCasRestoresStackAndRetries) {
@@ -371,9 +369,7 @@ TEST(LfcaRangeRetry, AdvanceLostCasRestoresStackAndRetries) {
   ASSERT_EQ(items.size(), 200u);
   EXPECT_EQ(items[150].key, 150);
   EXPECT_EQ(items[150].value, 999u);  // the insert preceded linearization
-  if (obs::kEnabled) {
-    EXPECT_GE(tree.stats().range_cas_fails, 1u);
-  }
+  EXPECT_GE(tree.stats().range_cas_fails, 1u);
 }
 
 TEST(LfcaRangeRetry, NestedQueryHelpsAndOuterSeesResultSet) {
@@ -470,9 +466,7 @@ TEST(LfcaRangeRetry, LostCasThenHelpsWiderInFlightQuery) {
 
   EXPECT_EQ(narrow_count, 151u);  // keys 0..150 of the helped snapshot
   EXPECT_EQ(wide_count, 200u);    // the parked query returns the same result
-  if (obs::kEnabled) {
-    EXPECT_GE(tree.stats().range_cas_fails, 1u);
-  }
+  EXPECT_GE(tree.stats().range_cas_fails, 1u);
 }
 
 TEST(LfcaRangeRetry, HelperMarkedBaseCountsAsAdvanced) {
@@ -524,9 +518,7 @@ TEST(LfcaRangeRetry, HelperMarkedBaseCountsAsAdvanced) {
 
   EXPECT_EQ(owner_count, 300u);
   EXPECT_EQ(helper_count, 300u);
-  if (obs::kEnabled) {
-    EXPECT_GE(tree.stats().range_cas_fails, 1u);
-  }
+  EXPECT_GE(tree.stats().range_cas_fails, 1u);
 }
 
 // --- Join completion vs late helpers (paper lines 251-267). ----------------

@@ -7,7 +7,9 @@
 #include <cstdint>
 #include <limits>
 #include <sstream>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -383,22 +385,48 @@ TEST(ObsRegistry, SnapshotIsNonDestructive) {
 #endif  // CATS_OBS_ENABLED
 
 // ---------------------------------------------------------------------------
-// Integration with the tree: paper counters flow into snapshots, and (in
+// Integration with the tree: tree counters flow into snapshots, and (in
 // CATS_OBS builds) adaptations land in the global trace.
 // ---------------------------------------------------------------------------
 
 TEST(ObsIntegration, TreeStatsAppendToSnapshot) {
+  static_assert(static_cast<std::size_t>(lfca::TreeCounter::kCount) == 18);
   reclaim::Domain domain;
   {
     lfca::LfcaTree tree(domain);
     for (Key k = 1; k <= 256; ++k) tree.insert(k, k);
     ASSERT_TRUE(tree.force_split(128));
+    tree.range_query(1, 256, [](Key, Value) {});
     const lfca::Stats stats = tree.stats();
     EXPECT_GE(stats.splits, 1u);
+    EXPECT_GE(stats.split_attempts, 1u);
+    EXPECT_GE(stats.range_bases_traversed, 2u);
 
     obs::Snapshot snap;
     stats.append_to(snap, "lfca_");
-    EXPECT_EQ(snap.counter("lfca_splits"), stats.splits);
+    // Every tree counter, in TreeCounter order, as lfca_<Stats field> with
+    // that field's value, and nothing else.
+    const std::vector<std::pair<std::string, std::uint64_t>> want = {
+        {"lfca_splits", stats.splits},
+        {"lfca_joins", stats.joins},
+        {"lfca_aborted_joins", stats.aborted_joins},
+        {"lfca_range_queries", stats.range_queries},
+        {"lfca_range_bases_traversed", stats.range_bases_traversed},
+        {"lfca_optimistic_ranges", stats.optimistic_ranges},
+        {"lfca_fallback_ranges", stats.fallback_ranges},
+        {"lfca_helps", stats.helps},
+        {"lfca_split_attempts", stats.split_attempts},
+        {"lfca_split_failed_cas", stats.split_failed_cas},
+        {"lfca_split_refused_small", stats.split_refused_small},
+        {"lfca_join_attempts", stats.join_attempts},
+        {"lfca_update_cas_fails", stats.update_cas_fails},
+        {"lfca_update_blocked_retries", stats.update_blocked_retries},
+        {"lfca_contention_events", stats.contention_events},
+        {"lfca_range_cas_fails", stats.range_cas_fails},
+        {"lfca_help_joins", stats.help_joins},
+        {"lfca_help_ranges", stats.help_ranges},
+    };
+    EXPECT_EQ(snap.counters, want);
 
     std::ostringstream os;
     obs::write_json(os, snap);

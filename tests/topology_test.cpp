@@ -85,6 +85,9 @@ TEST(Topology, QuiescentWalkMatchesTreeCounts) {
     EXPECT_EQ(after.base_nodes, topo.base_nodes - 1);
     EXPECT_EQ(after.route_nodes, topo.route_nodes - 1);
     EXPECT_EQ(after.items, 1000u);
+    // The base the finished join left behind is normal, not joining.
+    EXPECT_EQ(after.joining_bases, 0u);
+    EXPECT_EQ(after.normal_bases, after.base_nodes);
   }
   domain.drain();
 }

@@ -6,7 +6,7 @@ The committed baseline is BENCH_micro.json at the repo root, which holds a
 "benchmarks" map of {benchmark name: ns/op} alongside the "metrics" snapshot
 of the observability demo.  CI runs:
 
-    ./build/bench/bench_micro --demo-duration=0 \
+    ./build/bench/bench_micro \
         --benchmark_format=json --benchmark_out=results.json \
         --benchmark_repetitions=5 --benchmark_report_aggregates_only=true
     python3 tools/bench_smoke.py --baseline BENCH_micro.json \

@@ -1,4 +1,4 @@
-"""Lexical front half of the fallback token engine.
+"""Lexical front half of the token engine.
 
 Turns a C++ source file into an annotation map plus a token stream with
 line numbers, after (a) extracting `// catslint:` annotations, (b) dropping
@@ -260,10 +260,10 @@ def tokenize(lines: List[str]) -> List[Token]:
 
 
 def lex_file(path: str, defines: Dict[str, int]):
-    """Returns (raw_lines, annotations, tokens)."""
+    """Returns (annotations, tokens)."""
     with open(path, "r", encoding="utf-8", errors="replace") as f:
         raw = f.read().splitlines()
     annotations = extract_annotations(raw)
     active = strip_inactive(raw, defines)
     clean = strip_comments_and_strings(active)
-    return raw, annotations, tokenize(clean)
+    return annotations, tokenize(clean)

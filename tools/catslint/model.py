@@ -1,15 +1,12 @@
 """Shared analysis model for cats-lint.
 
-Both frontends (the libclang engine and the fallback token engine) lower a
-translation unit / source file into this engine-independent fact set; the
-rules in rules.py only ever see these types, so a rule behaves identically
-no matter which frontend produced the facts.
+The token engine lowers each source file into this fact set; the rules in
+rules.py only ever see these types, never source text or tokens.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 from typing import Dict, List, Optional, Set, Tuple
 
 # Atomic member functions R1 cares about.  wait/notify_one/notify_all are
@@ -30,7 +27,7 @@ ATOMIC_OPS = {
 # Annotation directive names and whether they require a (reason).
 DIRECTIVES = {
     "seq_cst": True,        # R1: deliberate seq_cst, reason required
-    "under-guard": False,   # R2: callers guarantee an EBR guard / hazard slot
+    "under-guard": False,   # R2: callers guarantee an EBR guard
     "quiescent": True,      # R2: single-threaded context (ctor/teardown/test)
     "direct-delete": True,  # R3: delete outside the reclamation domain
     "blocking-ok": True,    # R4: deliberate blocking call, reason required
@@ -138,7 +135,7 @@ class FlowEvent:
                    store/exchange/CAS; aux = target field
       field_write  plain (non-atomic-call) member write `var->aux = ...`
       call_arg     var passed whole as an argument; aux = callee base name
-      guard_open   an EBR Guard / hazard Holder is constructed;
+      guard_open   an EBR Guard is constructed;
                    aux = generation number (unique per function)
       guard_close  that guard's scope ends; aux = generation number
       shared_load  var bound from an atomic load of a shared field;
@@ -178,15 +175,13 @@ class FuncInfo:
 @dataclasses.dataclass
 class FileModel:
     path: str  # path as analyzed (absolute or repo-relative)
-    rel: str  # repo-relative path used in reports and fingerprints
+    rel: str  # repo-relative path used in reports
     atomic_ops: List[AtomicOp] = dataclasses.field(default_factory=list)
     delete_ops: List[DeleteOp] = dataclasses.field(default_factory=list)
     funcs: List[FuncInfo] = dataclasses.field(default_factory=list)
     # effective code line -> annotations applying to that line
     annotations: Dict[int, List[Annotation]] = dataclasses.field(
         default_factory=dict)
-    # line number -> raw source text (for fingerprints)
-    lines: Dict[int, str] = dataclasses.field(default_factory=dict)
 
     def annotations_for_line(self, line: int) -> List[Annotation]:
         return self.annotations.get(line, [])
@@ -205,18 +200,9 @@ class Finding:
     file: str  # repo-relative
     line: int
     message: str
-    fingerprint: str = ""
 
     def render(self) -> str:
-        return (f"{self.file}:{self.line}: {self.rule}: {self.message} "
-                f"[{self.fingerprint}]")
-
-
-def fingerprint(rule: str, rel: str, line_text: str) -> str:
-    """Content-based fingerprint, stable across unrelated line drift."""
-    norm = " ".join(line_text.split())
-    h = hashlib.sha1(f"{rule}|{rel}|{norm}".encode()).hexdigest()
-    return h[:16]
+        return f"{self.file}:{self.line}: {self.rule}: {self.message}"
 
 
 def suppressed(anns: List[Annotation], rule: str,

@@ -1,10 +1,10 @@
-"""The cats-lint rules, evaluated over the engine-independent FileModel.
+"""The cats-lint rules, evaluated over the FileModel (model.py).
 
 R0 dangling-annotation    — every `// catslint:` annotation must still
                             suppress (or justify) a live finding.
 R1 explicit-memory-order  — no defaulted (or unexplained explicit) seq_cst.
 R2 guard-required         — shared-atomic pointer loads only in functions
-                            proven to run under an EBR guard / hazard slot
+                            proven to run under an EBR guard
                             (directly, by annotation, or because every
                             caller chain in the TU is proven).
 R3 retire-not-delete      — no direct delete of reclaimable node types
@@ -20,7 +20,7 @@ R5 release-acquire-pairing— per-field order matrix over every atomic site
 R6 immutable-after-publish— no non-atomic field write on a node reachable
                             after the node escaped via an atomic store/CAS
                             (intra-function flow + call-graph closure).
-R7 guard-lifetime         — a pointer loaded under a Guard/Holder must not
+R7 guard-lifetime         — a pointer loaded under a Guard must not
                             flow past the guard's scope, and a CAS expected
                             value must come from the current guard
                             generation (ABA discipline).
@@ -39,13 +39,9 @@ import re
 from typing import Dict, List, Set, Tuple
 
 from model import (ACQUIRE_SIDE, RELEASE_SIDE, FileModel, Finding, FuncInfo,
-                   fingerprint, suppressed)
+                   suppressed)
 
 ALL_RULES = ("R0", "R1", "R2", "R3", "R4", "R5", "R6", "R7")
-
-
-def _line_text(model: FileModel, line: int) -> str:
-    return model.lines.get(line, "")
 
 
 def _path_matches(rel: str, patterns: List[str]) -> bool:
@@ -54,9 +50,7 @@ def _path_matches(rel: str, patterns: List[str]) -> bool:
 
 
 def _mk(model: FileModel, rule: str, line: int, msg: str) -> Finding:
-    return Finding(rule=rule, file=model.rel, line=line, message=msg,
-                   fingerprint=fingerprint(rule, model.rel,
-                                           _line_text(model, line)))
+    return Finding(rule=rule, file=model.rel, line=line, message=msg)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +215,7 @@ def check_r2(model: FileModel, cfg: dict) -> List[Finding]:
         out.append(_mk(
             model, "R2", line,
             f"{f.name}() loads a shared atomic pointer but neither it nor "
-            f"every in-TU caller chain holds an EBR Guard/hazard slot; "
+            f"every in-TU caller chain holds an EBR Guard; "
             f"add a guard or annotate the function "
             f"`// catslint: under-guard` / `// catslint: "
             f"quiescent(<reason>)`"))
@@ -626,26 +620,12 @@ def check_r0(models: List[FileModel], cfg: dict) -> List[Finding]:
                         f"dangling annotation `// catslint: {spec}`: it no "
                         f"longer suppresses or justifies any finding; "
                         f"remove it (stale justifications hide real "
-                        f"regressions)"),
-                    fingerprint=fingerprint(
-                        "R0", m.rel, _line_text(m, a.raw_line))))
+                        f"regressions)")))
     return out
 
 
-_CHECKS = {"R1": check_r1, "R2": check_r2, "R3": check_r3, "R4": check_r4}
 _PER_FILE = {"R1": check_r1, "R2": check_r2, "R3": check_r3,
              "R4": check_r4, "R6": check_r6, "R7": check_r7}
-
-
-def run_rules(model: FileModel, cfg: dict,
-              enabled: Set[str]) -> List[Finding]:
-    """Single-file evaluation of the per-file rules (legacy entry point;
-    the driver uses run_all, which adds R5/R0 and whole-set context)."""
-    out: List[Finding] = []
-    for rule in ("R1", "R2", "R3", "R4"):
-        if rule in enabled:
-            out.extend(_CHECKS[rule](model, cfg))
-    return sorted(out, key=lambda f: (f.file, f.line, f.rule))
 
 
 def run_all(models: List[FileModel], cfg: dict,

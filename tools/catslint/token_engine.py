@@ -1,4 +1,4 @@
-"""Fallback frontend: lowers C++ source to the FileModel via lexical
+"""The analyzer's frontend: lowers C++ source to the FileModel via lexical
 analysis (no compiler needed).
 
 Scope and honesty: this engine understands the subset of C++ this repo is
@@ -7,8 +7,7 @@ definitions (templates included), constructor initializer lists, lambdas
 (attributed to the enclosing function).  It resolves delete-target types
 from local declarations, parameters, `new` expressions and casts, and it
 builds a per-file call graph by callee base name.  Anything it cannot
-resolve it leaves unflagged (conservative); the libclang engine, when
-available, resolves those cases with real type information.
+resolve it leaves unflagged (conservative).
 """
 
 from __future__ import annotations
@@ -835,9 +834,8 @@ class _Scanner:
 
 def analyze_file(path: str, rel: str, cfg: dict) -> FileModel:
     defines = {k: int(v) for k, v in cfg.get("defines", {}).items()}
-    raw, annotations, toks = cpptok.lex_file(path, defines)
+    annotations, toks = cpptok.lex_file(path, defines)
     model = FileModel(path=path, rel=rel)
     model.annotations = annotations
-    model.lines = {i + 1: raw[i] for i in range(len(raw))}
     _Scanner(toks, model, cfg).run()
     return model
