@@ -167,7 +167,6 @@ BENCHMARK(BM_StructureInsertRemove<skiplist::SkipList>)
 // the mix is running.
 // ---------------------------------------------------------------------------
 void run_metrics_demo(const harness::Options& opt) {
-#if CATS_OBS_ENABLED
   // Quiescent here — the worker threads haven't started yet.
   obs::Registry::instance().reset();
 
@@ -204,10 +203,6 @@ void run_metrics_demo(const harness::Options& opt) {
     monitored.finish();  // stops endpoint + sampler, writes the files
   }
   domain.drain();
-#else
-  (void)opt;
-  std::printf("\n(CATS_OBS=OFF: metrics export compiled out)\n");
-#endif
 }
 
 }  // namespace

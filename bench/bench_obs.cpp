@@ -1,8 +1,7 @@
 // Observability overhead check.
 //
-// Runs the same LFCA mix under three in-binary flight-recorder modes plus
-// the compile-time hook state, so one ON/OFF build pair covers every
-// overhead question:
+// Runs the same LFCA mix under the three flight-recorder modes, so one
+// binary answers every overhead question:
 //
 //   flight-off       recorder disabled (the shipped default): every
 //                    begin_span is one relaxed load and a branch
@@ -11,18 +10,12 @@
 //   flight-sampled   recorder enabled at shift 6 (1 op in 64): the cost of
 //                    actually recording spans at a tracing-grade rate
 //
-// Build the tree twice to compare the compile-time axis:
+//   ./build/bench/bench_obs --csv
 //
-//   cmake -B build-on  -DCATS_OBS=ON  && cmake --build build-on  --target bench_obs
-//   cmake -B build-off -DCATS_OBS=OFF && cmake --build build-off --target bench_obs
-//   ./build-on/bench/bench_obs --csv; ./build-off/bench/bench_obs --csv
-//
-// The ON build's flight-off and flight-unsampled rows must stay within
-// host noise of OFF: every always-on hook is a relaxed fetch_add on a
-// thread-private cache line (or nothing at all on the wait-free lookup
-// path), and the unsampled flight path adds one thread-local countdown.
-// In OFF builds the three modes are identical by construction (the
-// recorder is a stub) — the rows still print, as a baseline triple.
+// The flight-unsampled rows must stay within host noise of flight-off: the
+// unsampled flight path adds one thread-local countdown.  The always-on
+// hooks (a relaxed fetch_add on a thread-private cache line, or nothing at
+// all on the wait-free lookup path) are in every row.
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -34,8 +27,7 @@ int main(int argc, char** argv) {
 
   const harness::Mix mix = harness::Mix::of_percent(20, 55, 25, 1000);
   if (!opt.csv) {
-    std::printf("CATS_OBS=%s  mix %s  S=%lld\n",
-                obs::kEnabled ? "ON" : "OFF", mix.describe().c_str(),
+    std::printf("mix %s  S=%lld\n", mix.describe().c_str(),
                 static_cast<long long>(opt.size));
   }
   struct Mode {
@@ -58,8 +50,7 @@ int main(int argc, char** argv) {
       const harness::RunResult r =
           bench::measure<lfca::LfcaTree>(opt, {{threads, mix}});
       if (opt.csv) {
-        std::printf("obs-overhead,%s,%s,%d,%.4f\n",
-                    obs::kEnabled ? "on" : "off", mode.name, threads,
+        std::printf("obs-overhead,%s,%d,%.4f\n", mode.name, threads,
                     r.throughput_mops());
       } else {
         std::printf("%-17s threads=%-3d %9.3f ops/us  (per-thread min=%llu "
@@ -73,25 +64,5 @@ int main(int argc, char** argv) {
     }
   }
   obs::flight::Recorder::instance().disable();
-  // Hardware-counter smoke line: per-phase cycles/IPC when the kernel
-  // permits, an explicit reason when it does not — never a failure.
-  const obs::flight::PerfCounts measure_phase =
-      [] {
-        for (const auto& [phase, counts] : obs::flight::perf_phase_totals()) {
-          if (phase == "measure") return counts;
-        }
-        return obs::flight::PerfCounts{};
-      }();
-  if (measure_phase.available) {
-    std::printf("perf,measure,cycles=%llu,instructions=%llu,ipc=%.2f\n",
-                static_cast<unsigned long long>(measure_phase.cycles),
-                static_cast<unsigned long long>(measure_phase.instructions),
-                measure_phase.ipc());
-  } else {
-    std::printf("perf,measure,unavailable: %s\n",
-                measure_phase.unavailable_reason.empty()
-                    ? "no samples"
-                    : measure_phase.unavailable_reason.c_str());
-  }
   return 0;
 }

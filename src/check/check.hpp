@@ -21,8 +21,8 @@
 //     EBR retirement, detect double retires across domains, and feed
 //     an at-exit leak census with per-call-site counts.
 //
-// Mirrors the CATS_OBS pattern (obs/obs.hpp): `CATS_CHECKED_ENABLED` is
-// defined 0 or 1 on every target through the cats_common interface library;
+// `CATS_CHECKED_ENABLED` is defined 0 or 1 on every target through the
+// cats_common interface library (like CATS_POOL_ENABLED and CATS_SIM_ENABLED);
 // an OFF build compiles every hook to nothing — no fields, no loads, no
 // code — so the release layout and hot paths are bit-identical to an
 // unchecked build.

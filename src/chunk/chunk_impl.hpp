@@ -77,7 +77,7 @@ struct BasicChunk {
     node->count = count;
     CATS_CHECKED_ONLY(node->check_canary.store(check::kCanaryAlive,
                                                std::memory_order_relaxed));
-    CATS_OBS_ONLY(obs::count(obs::GCounter::kChunkNodeAllocs));
+    obs::count(obs::GCounter::kChunkNodeAllocs);
     return node;
   }
 
@@ -100,7 +100,7 @@ struct BasicChunk {
     CATS_CHECK(prev != 0, "chunk node %p: refcount underflow",
                static_cast<const void*>(node));
     if (prev == 1) {
-      CATS_OBS_ONLY(obs::count(obs::GCounter::kChunkNodeFrees));
+      obs::count(obs::GCounter::kChunkNodeFrees);
       // Compute the size before the poison overwrites `count`; pool_free
       // needs it too (the pool's size classes are keyed on it).
       const std::size_t bytes = allocation_bytes(node->count);

@@ -15,7 +15,6 @@
 
 #include "check/check.hpp"
 #include "common/types.hpp"
-#include "obs/obs.hpp"
 
 namespace cats::harness {
 
@@ -88,7 +87,7 @@ struct Options {
   int high_cont = 1000;
   int low_cont = -1000;
   int cont_contrib = 250;
-  /// Live monitoring (CATS_OBS builds; see harness::MonitoredRun).
+  /// Live monitoring (see harness::MonitoredRun).
   /// Sampling interval of the background monitor; 0 disables the sampler.
   int monitor_interval_ms = 0;
   /// HTTP endpoint port (-1 disabled, 0 ephemeral — the bound port is
@@ -105,8 +104,7 @@ struct Options {
   std::uint64_t check_every_n_ops = 0;
   /// Where the flight-recorder timeline (Chrome/Perfetto trace-event JSON)
   /// is written; empty = flight recorder stays off unless the monitor
-  /// endpoint is up.  Hard error in CATS_OBS=OFF builds — a silently empty
-  /// trace is worse than a refused run.
+  /// endpoint is up.
   std::string trace_out;
   /// Flight-recorder sampling: record every 2^shift-th operation per
   /// thread (0 = every op, default 10 = 1/1024).
@@ -243,24 +241,12 @@ struct Options {
         if (*v == '\0') {
           return fail("--trace-out: expected a file path, got ''");
         }
-        if (!obs::kEnabled) {
-          // Unlike --check-every-n-ops (a validator that can degrade to a
-          // warning), a trace request with no recorder would produce
-          // nothing at all — refuse instead of no-opping.
-          return fail(
-              "--trace-out: flight recorder compiled out (CATS_OBS=OFF)");
-        }
         opt.trace_out = v;
       } else if (const char* v = value("--trace-sample-shift=")) {
         if (!detail::parse_int(v, &opt.trace_sample_shift) ||
             opt.trace_sample_shift < 0 || opt.trace_sample_shift > 20) {
           return fail("--trace-sample-shift: expected 0..20, got '" +
                       std::string(v) + "'");
-        }
-        if (!obs::kEnabled) {
-          return fail(
-              "--trace-sample-shift: flight recorder compiled out "
-              "(CATS_OBS=OFF)");
         }
       } else if (arg == "--paper") {
         // The paper's configuration (§7): S = 10^6, 10 s runs, 3 runs

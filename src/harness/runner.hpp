@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -35,14 +36,11 @@
 #include "harness/workload.hpp"
 #include "obs/export.hpp"
 #include "obs/flight/flight.hpp"
-#include "obs/flight/perf_counters.hpp"
+#include "obs/flight/perfetto.hpp"
 #include "obs/http_server.hpp"
 #include "obs/monitor.hpp"
 #include "obs/registry.hpp"
-
-#if CATS_OBS_ENABLED
-#include "obs/flight/perfetto.hpp"
-#endif
+#include "obs/topology.hpp"
 
 namespace cats::harness {
 
@@ -52,9 +50,6 @@ namespace cats::harness {
 /// the default is the identity, so integer-keyed call sites are unchanged.
 template <class S, class Codec = IntKeyCodec>
 void prefill(S& structure, Key key_range, std::uint64_t seed = 0xfeedbeef) {
-  // Hardware counters for the prefill phase (obs builds; stub otherwise).
-  obs::flight::ThreadPerf perf;
-  perf.start();
   Xoshiro256 rng(seed);
   std::int64_t inserted = 0;
   const std::int64_t target = key_range / 2;
@@ -64,7 +59,6 @@ void prefill(S& structure, Key key_range, std::uint64_t seed = 0xfeedbeef) {
       ++inserted;
     }
   }
-  obs::flight::perf_phase_add("prefill", perf.stop());
 }
 
 namespace detail {
@@ -89,7 +83,6 @@ RunResult run_mix(S& structure, const std::vector<ThreadGroup>& groups,
 
   std::vector<detail::ThreadCounters> counters(total_threads);
   std::vector<int> group_of(total_threads);
-  std::vector<obs::flight::PerfCounts> thread_perf(total_threads);
   std::vector<std::thread> threads;
   SpinBarrier barrier(total_threads + 1);
   std::atomic<bool> stop{false};
@@ -108,22 +101,16 @@ RunResult run_mix(S& structure, const std::vector<ThreadGroup>& groups,
         const std::uint64_t check_period =
             g_check_every_n_ops.load(std::memory_order_relaxed);
 #endif
-        // Per-thread hardware counters over the measure phase (opened on
-        // the worker thread itself; perf_event_open counts the caller).
-        obs::flight::ThreadPerf perf;
         barrier.arrive_and_wait();
-        perf.start();
         while (!stop.load(std::memory_order_relaxed)) {
           const std::uint64_t dice = rng.next_below(1000);
           const Key k = rng.next_in(1, key_range - 1);
-#if CATS_OBS_ENABLED
           // Sample one in 32 operations into the global latency histograms;
           // timing every operation would dominate the cost of a lookup.
           const bool sampled = (my.ops & 31u) == 0;
           const auto op_begin = sampled ? std::chrono::steady_clock::now()
                                         : std::chrono::steady_clock::time_point();
           obs::GHistogram op_hist = obs::GHistogram::kUpdateLatencyNs;
-#endif
           // Flight-recorder span (no-op unless the recorder is enabled and
           // this operation is sampled — see obs/flight/flight.hpp).
           obs::flight::SpanStart span = obs::flight::begin_span();
@@ -139,9 +126,7 @@ RunResult run_mix(S& structure, const std::vector<ThreadGroup>& groups,
           } else if (dice < mix.update_permille + mix.lookup_permille) {
             Value v;
             structure.lookup(Codec::encode(k), &v);
-#if CATS_OBS_ENABLED
             op_hist = obs::GHistogram::kLookupLatencyNs;
-#endif
           } else {
             span_kind = obs::flight::SpanKind::kRange;
             const std::int64_t span =
@@ -163,12 +148,9 @@ RunResult run_mix(S& structure, const std::vector<ThreadGroup>& groups,
             if (sum == 0xdeadbeefdeadbeefull) std::abort();
             my.range_items += items;
             ++my.range_queries;
-#if CATS_OBS_ENABLED
             op_hist = obs::GHistogram::kRangeLatencyNs;
-#endif
           }
           obs::flight::end_span(span, span_kind, k);
-#if CATS_OBS_ENABLED
           if (sampled) {
             const auto elapsed = std::chrono::steady_clock::now() - op_begin;
             obs::record(
@@ -178,12 +160,11 @@ RunResult run_mix(S& structure, const std::vector<ThreadGroup>& groups,
                         elapsed)
                         .count()));
           }
-#endif
           ++my.ops;
           // Feed the process-wide op counter so a live monitor can derive
           // ops/sec; one relaxed sharded add, same cost class as the other
           // per-op hooks (bench_obs measures the total within noise).
-          CATS_OBS_ONLY(obs::count(obs::GCounter::kHarnessOps));
+          obs::count(obs::GCounter::kHarnessOps);
 #if CATS_CHECKED_ENABLED
           if (check_period != 0 && my.ops % check_period == 0) {
             if constexpr (requires(const S& s, std::string* d) {
@@ -200,7 +181,6 @@ RunResult run_mix(S& structure, const std::vector<ThreadGroup>& groups,
           }
 #endif
         }
-        thread_perf[thread_index] = perf.stop();
       });
     }
   }
@@ -221,9 +201,7 @@ RunResult run_mix(S& structure, const std::vector<ThreadGroup>& groups,
     result.range_queries += counters[t].range_queries;
     result.range_items += counters[t].range_items;
     result.per_thread_ops.push_back(counters[t].ops);
-    result.perf += thread_perf[t];
   }
-  obs::flight::perf_phase_add("measure", result.perf);
   return result;
 }
 
@@ -250,12 +228,10 @@ RunResult run_mix(S& structure, int threads, const Mix& mix, Key key_range,
 // declared after (destroyed before) the structure and its domain.
 // ---------------------------------------------------------------------------
 
-#if CATS_OBS_ENABLED
-
 class MonitoredRun {
  public:
   using StatsSource = obs::Monitor::StatsSource;
-  using TopologySource = obs::Monitor::TopologySource;
+  using TopologySource = std::function<obs::TopologySnapshot()>;
 
   MonitoredRun(const Options& opt, StatsSource stats,
                TopologySource topology = {})
@@ -273,9 +249,8 @@ class MonitoredRun {
       obs::Monitor::Config config;
       config.interval = std::chrono::milliseconds(opt.monitor_interval_ms);
       // The stats source already carries the topology as gauges
-      // (tree_stats_source), so the monitor gets no separate topology
-      // source — one tree walk per sample, no duplicate CSV columns.  The
-      // topology source only feeds the /topology.json route.
+      // (tree_stats_source): one tree walk per sample.  The topology source
+      // only feeds the /topology.json route.
       monitor_ = std::make_unique<obs::Monitor>(config, stats_);
       monitor_->start();
     }
@@ -358,11 +333,7 @@ class MonitoredRun {
     }
     if (flight_enabled_) obs::flight::Recorder::instance().disable();
     if (!metrics_path_.empty()) {
-      obs::Snapshot snap = stats_();
-      // Per-phase hardware counters ride in the final snapshot only: they
-      // are gathered at phase end, so the live monitor never sees them.
-      obs::flight::append_perf_phases(snap);
-      if (obs::write_json_file(metrics_path_, snap)) {
+      if (obs::write_json_file(metrics_path_, stats_())) {
         std::fprintf(stderr, "monitor: metrics written to %s\n",
                      metrics_path_.c_str());
       } else {
@@ -410,38 +381,5 @@ template <class Tree>
 MonitoredRun::TopologySource tree_topology_source(Tree& tree) {
   return [&tree] { return tree.collect_topology(); };
 }
-
-#else  // !CATS_OBS_ENABLED
-
-/// CATS_OBS=OFF stub: same shape, no thread, no socket, no output.  The
-/// sources are cheap no-op placeholders so call sites compile unchanged.
-class MonitoredRun {
- public:
-  using StatsSource = int;
-  using TopologySource = int;
-
-  MonitoredRun(const Options& opt, StatsSource = 0, TopologySource = 0) {
-    if (opt.monitor_interval_ms > 0 || opt.monitor_port >= 0 ||
-        !opt.metrics_out.empty() || !opt.series_out.empty() ||
-        !opt.trace_out.empty()) {
-      std::fprintf(stderr,
-                   "monitor: requested but compiled out (CATS_OBS=OFF)\n");
-    }
-  }
-  int port() const { return -1; }
-  void finish() {}
-};
-
-template <class Tree>
-MonitoredRun::StatsSource tree_stats_source(Tree&,
-                                            const std::string& = "lfca_") {
-  return 0;
-}
-template <class Tree>
-MonitoredRun::TopologySource tree_topology_source(Tree&) {
-  return 0;
-}
-
-#endif  // CATS_OBS_ENABLED
 
 }  // namespace cats::harness

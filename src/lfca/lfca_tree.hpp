@@ -38,7 +38,6 @@
 #include "common/types.hpp"
 #include "lfca/config.hpp"
 #include "obs/counters.hpp"
-#include "obs/obs.hpp"
 #include "obs/topology.hpp"
 #include "lfca/container_policy.hpp"
 #include "lfca/node.hpp"

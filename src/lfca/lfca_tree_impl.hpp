@@ -97,7 +97,7 @@ Node<C>* new_range_base(Node<C>* b, typename C::Key lo, typename C::Key hi,
   if (n->data != nullptr) C::incref(n->data);
   n->stat.store(b->stat.load(std::memory_order_relaxed),
                 std::memory_order_relaxed);
-  CATS_OBS_ONLY(heat_inherit<C>(n, b));
+  heat_inherit<C>(n, b);
   cats::sim_plain_write(n->lo, lo);
   cats::sim_plain_write(n->hi, hi);
   storage->add_ref();
@@ -216,7 +216,7 @@ void BasicLfcaTree<C>::help_if_needed(Node* n) {
     } else if (detail::is_real<C>(state)) {
       count(TreeCounter::helps);
       count(TreeCounter::help_joins);
-      CATS_OBS_ONLY(n->heat_helps.fetch_add(1, std::memory_order_relaxed));
+      n->heat_helps.fetch_add(1, std::memory_order_relaxed);
       complete_join(n);
     }
   } else if (n->type == NodeType::kRange &&
@@ -225,7 +225,7 @@ void BasicLfcaTree<C>::help_if_needed(Node* n) {
                  detail::not_set<C>()) {
     count(TreeCounter::helps);
     count(TreeCounter::help_ranges);
-    CATS_OBS_ONLY(n->heat_helps.fetch_add(1, std::memory_order_relaxed));
+    n->heat_helps.fetch_add(1, std::memory_order_relaxed);
     all_in_range(cats::sim_plain_read(n->lo), cats::sim_plain_read(n->hi),
                  cats::sim_plain_read(n->storage));
   }
@@ -291,22 +291,18 @@ template <class C>
 bool BasicLfcaTree<C>::do_update(UpdateKind kind, Key key, Value value) {
   reclaim::Domain::Guard guard(domain_);
   ContentionInfo info = ContentionInfo::kUncontended;
-#if CATS_OBS_ENABLED
   // Heatmap carry: a lost CAS means `base` was just replaced, so charging
   // the failure to it would write to a retired node and lose the tally.
   // Accumulate locally and charge the next base found on retry — it is live
   // (we just loaded it) and covers the same key.
   std::uint64_t pending_cas_fails = 0;
-#endif
   while (true) {
     Node* base = find_base_node(key);
-#if CATS_OBS_ENABLED
     if (pending_cas_fails != 0) {
       base->heat_cas_fails.fetch_add(pending_cas_fails,
                                      std::memory_order_relaxed);
       pending_cas_fails = 0;
     }
-#endif
     if (is_replaceable(base)) {
       bool changed = false;
       typename C::Ref new_data =
@@ -320,17 +316,15 @@ bool BasicLfcaTree<C>::do_update(UpdateKind kind, Key key, Value value) {
       cats::sim_plain_write(newb->parent, cats::sim_plain_read(base->parent));
       cats::sim_plain_write(newb->data, new_data.release());
       newb->stat.store(new_stat(base, info), std::memory_order_relaxed);
-      CATS_OBS_ONLY(detail::heat_inherit<C>(newb, base));
+      detail::heat_inherit<C>(newb, base);
       if (try_replace(base, newb)) {
         adapt_if_needed(newb);
         return kind == UpdateKind::kInsert ? !changed : changed;
       }
       delete newb;  // catslint: direct-delete(never published; CAS lost)
       count(TreeCounter::update_cas_fails);
-      CATS_OBS_ONLY({
-        ++pending_cas_fails;
-        obs::flight::note_cas_fail();
-      });
+      ++pending_cas_fails;
+      obs::flight::note_cas_fail();
     } else {
       count(TreeCounter::update_blocked_retries);
     }
@@ -386,7 +380,7 @@ bool BasicLfcaTree<C>::high_contention_adaptation(Node* b) {
     count(TreeCounter::split_refused_small);
     return false;
   }
-  [[maybe_unused]] const int stat = b->stat.load(std::memory_order_relaxed);
+  const int stat = b->stat.load(std::memory_order_relaxed);
   typename C::Ref left_data;
   typename C::Ref right_data;
   Key split_key{};
@@ -402,7 +396,6 @@ bool BasicLfcaTree<C>::high_contention_adaptation(Node* b) {
   cats::sim_plain_write(rb->data, right_data.release());
   r->left.store(lb, std::memory_order_relaxed);
   r->right.store(rb, std::memory_order_relaxed);
-#if CATS_OBS_ENABLED
   // Split the heat tallies between the halves so the heatmap's totals are
   // conserved across the adaptation (half each; odd remainder to the right).
   {
@@ -413,23 +406,18 @@ bool BasicLfcaTree<C>::high_contention_adaptation(Node* b) {
     lb->heat_helps.store(hp / 2, std::memory_order_relaxed);
     rb->heat_helps.store(hp - hp / 2, std::memory_order_relaxed);
   }
-#endif
 
   if (try_replace(b, r)) {
     count(TreeCounter::splits);
-    CATS_OBS_ONLY({
-      obs::record(obs::GHistogram::kSplitLeafItems, C::size(b->data));
-      obs::trace_adapt(obs::AdaptKind::kSplit, depth_of(split_key), stat);
-    });
+    obs::record(obs::GHistogram::kSplitLeafItems, C::size(b->data));
+    obs::trace_adapt(obs::AdaptKind::kSplit, depth_of(split_key), stat);
     return true;
   }
   delete lb;  // catslint: direct-delete(never published; split CAS lost)
   delete rb;  // catslint: direct-delete(never published; split CAS lost)
   delete r;   // catslint: direct-delete(never published; split CAS lost)
   count(TreeCounter::split_failed_cas);
-  CATS_OBS_ONLY(
-      obs::trace_adapt(obs::AdaptKind::kSplitFailed, depth_of(split_key),
-                       stat));
+  obs::trace_adapt(obs::AdaptKind::kSplitFailed, depth_of(split_key), stat);
   return false;
 }
 
@@ -439,8 +427,8 @@ bool BasicLfcaTree<C>::low_contention_adaptation(Node* b) {
   Node* parent = cats::sim_plain_read(b->parent);
   if (parent == nullptr) return false;
   count(TreeCounter::join_attempts);
-  [[maybe_unused]] const int stat = b->stat.load(std::memory_order_relaxed);
-  [[maybe_unused]] const Key probe = cats::sim_plain_read(parent->key);
+  const int stat = b->stat.load(std::memory_order_relaxed);
+  const Key probe = cats::sim_plain_read(parent->key);
   Node* m = nullptr;
   if (parent->left.load(std::memory_order_acquire) == b) {
     m = secure_join(b, /*left_child=*/true);
@@ -450,13 +438,11 @@ bool BasicLfcaTree<C>::low_contention_adaptation(Node* b) {
   if (m != nullptr) {
     complete_join(m);
     count(TreeCounter::joins);
-    CATS_OBS_ONLY(
-        obs::trace_adapt(obs::AdaptKind::kJoin, depth_of(probe), stat));
+    obs::trace_adapt(obs::AdaptKind::kJoin, depth_of(probe), stat);
     return true;
   }
   count(TreeCounter::aborted_joins);
-  CATS_OBS_ONLY(
-      obs::trace_adapt(obs::AdaptKind::kJoinAborted, depth_of(probe), stat));
+  obs::trace_adapt(obs::AdaptKind::kJoinAborted, depth_of(probe), stat);
   return false;
 }
 
@@ -501,7 +487,7 @@ typename BasicLfcaTree<C>::Node* BasicLfcaTree<C>::secure_join(
   if (m->data != nullptr) C::incref(m->data);
   m->stat.store(b->stat.load(std::memory_order_relaxed),
                 std::memory_order_relaxed);
-  CATS_OBS_ONLY(detail::heat_inherit<C>(m, b));
+  detail::heat_inherit<C>(m, b);
   m->neigh2.store(Node::preparing(), std::memory_order_relaxed);
   {
     auto& slot = left_child ? parent->left : parent->right;
@@ -521,7 +507,7 @@ typename BasicLfcaTree<C>::Node* BasicLfcaTree<C>::secure_join(
   if (n1->data != nullptr) C::incref(n1->data);
   n1->stat.store(n0->stat.load(std::memory_order_relaxed),
                  std::memory_order_relaxed);
-  CATS_OBS_ONLY(detail::heat_inherit<C>(n1, n0));
+  detail::heat_inherit<C>(n1, n0);
   cats::sim_plain_write(n1->main_node, m);
   m->main_refs.fetch_add(1, std::memory_order_relaxed);  // held by n1
   if (!try_replace(n0, n1)) {
@@ -580,7 +566,6 @@ typename BasicLfcaTree<C>::Node* BasicLfcaTree<C>::secure_join(
       n2->data, (left_child ? C::join(m->data, cats::sim_plain_read(n1->data))
                             : C::join(cats::sim_plain_read(n1->data), m->data))
                     .release());
-#if CATS_OBS_ENABLED
   // The joined base covers both intervals: its heat is the sum.
   n2->heat_cas_fails.store(
       m->heat_cas_fails.load(std::memory_order_relaxed) +
@@ -589,7 +574,6 @@ typename BasicLfcaTree<C>::Node* BasicLfcaTree<C>::secure_join(
   n2->heat_helps.store(m->heat_helps.load(std::memory_order_relaxed) +
                            n1->heat_helps.load(std::memory_order_relaxed),
                        std::memory_order_relaxed);
-#endif
   {
     Node* expected = Node::preparing();
     if (m->neigh2.compare_exchange_strong(expected, n2,
@@ -743,8 +727,7 @@ template <class C>
 void BasicLfcaTree<C>::count_range_query(std::size_t bases_traversed) const {
   count(TreeCounter::range_queries);
   count(TreeCounter::range_bases_traversed, bases_traversed);
-  CATS_OBS_ONLY(obs::record(obs::GHistogram::kRangeBasesTraversed,
-                            bases_traversed));
+  obs::record(obs::GHistogram::kRangeBasesTraversed, bases_traversed);
 }
 
 // Paper lines 161-215.  Must be called inside an epoch guard; the returned
@@ -760,7 +743,6 @@ const typename C::Node* BasicLfcaTree<C>::all_in_range(
   std::vector<Node*>& done = scratch->done;
   ResultStorage* my_s = nullptr;
   Node* b = nullptr;
-#if CATS_OBS_ENABLED
   // Heatmap carry, same scheme as do_update: charge a lost CAS to the next
   // live base found on retry, never to the already-replaced loser.
   std::uint64_t pending_cas_fails = 0;
@@ -771,13 +753,12 @@ const typename C::Node* BasicLfcaTree<C>::all_in_range(
       pending_cas_fails = 0;
     }
   };
-#endif
 
   // find_first (lines 168-183).
   while (true) {
     stack.clear();
     b = find_base_stack(lo, stack);
-    CATS_OBS_ONLY(settle_heat(b));
+    settle_heat(b);
     if (testing_range_step_hook) testing_range_step_hook(0);
     if (help_s != nullptr) {
       if (b->type != NodeType::kRange ||
@@ -795,10 +776,8 @@ const typename C::Node* BasicLfcaTree<C>::all_in_range(
       if (!try_replace(b, n)) {
         delete n;  // catslint: direct-delete(never published; CAS lost)
         count(TreeCounter::range_cas_fails);
-        CATS_OBS_ONLY({
-          ++pending_cas_fails;
-          obs::flight::note_cas_fail();
-        });
+        ++pending_cas_fails;
+        obs::flight::note_cas_fail();
         continue;  // goto find_first
       }
       stack.back() = n;  // replace_top
@@ -843,7 +822,7 @@ const typename C::Node* BasicLfcaTree<C>::all_in_range(
     while (!advanced) {
       b = find_next_base_stack(stack);
       if (b == nullptr) break;
-      CATS_OBS_ONLY(settle_heat(b));
+      settle_heat(b);
       if (testing_range_step_hook) testing_range_step_hook(1);
       const typename C::Node* result =
           my_s->result.load(std::memory_order_acquire);
@@ -863,10 +842,8 @@ const typename C::Node* BasicLfcaTree<C>::all_in_range(
         } else {
           delete n;  // catslint: direct-delete(never published; CAS lost)
           count(TreeCounter::range_cas_fails);
-          CATS_OBS_ONLY({
-            ++pending_cas_fails;
-            obs::flight::note_cas_fail();
-          });
+          ++pending_cas_fails;
+          obs::flight::note_cas_fail();
           stack = backup;
         }
       } else {
@@ -1120,7 +1097,6 @@ void BasicLfcaTree<C>::topology_walk(Node* n, std::uint32_t route_depth,
   if (out.base_nodes == 1 || stat < out.stat_min) out.stat_min = stat;
   if (out.base_nodes == 1 || stat > out.stat_max) out.stat_max = stat;
   out.stat_abs.add(static_cast<std::uint64_t>(stat < 0 ? -stat : stat));
-#if CATS_OBS_ENABLED
   // Contention heatmap sample: the base's key interval starts at the key of
   // the nearest ancestor whose right subtree contains it (KeyTraits min()
   // for the leftmost path), which identifies the region spatially across
@@ -1134,7 +1110,6 @@ void BasicLfcaTree<C>::topology_walk(Node* n, std::uint32_t route_depth,
   heat.items = occupancy;
   heat.stat = stat;
   out.add_base_heat(heat);
-#endif
 }
 
 template <class C>

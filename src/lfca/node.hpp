@@ -25,7 +25,6 @@
 #include "common/catomic.hpp"
 #include "check/check.hpp"
 #include "common/types.hpp"
-#include "obs/obs.hpp"
 
 namespace cats::lfca::detail {
 
@@ -127,18 +126,16 @@ struct Node {
   /// that references it, not just its own reclamation grace period.
   cats::atomic<std::uint32_t> main_refs{1};
 
-#if CATS_OBS_ENABLED
-  /// Contention-heatmap tallies (obs builds): CAS failures charged to this
-  /// base's key interval and help events observed on it.  Heuristic only,
-  /// like `stat`: the thread that builds a replacement copies the tallies
-  /// into it before publishing (single-writer), concurrent bumps are
-  /// relaxed, and a bump racing the node's unlink lands on the retired
-  /// node and is dropped — the same best-effort contract as the in-place
-  /// stat feed in do_update.  The topology walk reads them into the
-  /// route-node contention heatmap (obs/topology.hpp).
+  /// Contention-heatmap tallies: CAS failures charged to this base's key
+  /// interval and help events observed on it.  Heuristic only, like
+  /// `stat`: the thread that builds a replacement copies the tallies into
+  /// it before publishing (single-writer), concurrent bumps are relaxed,
+  /// and a bump racing the node's unlink lands on the retired node and is
+  /// dropped — the same best-effort contract as the in-place stat feed in
+  /// do_update.  The topology walk reads them into the route-node
+  /// contention heatmap (obs/topology.hpp).
   cats::atomic<std::uint64_t> heat_cas_fails{0};
   cats::atomic<std::uint64_t> heat_helps{0};
-#endif
 
   // --- join_neighbor fields -------------------------------------------------
   Node* main_node = nullptr;
@@ -208,7 +205,6 @@ bool is_real(const Node<C>* p) {
   return reinterpret_cast<std::uintptr_t>(p) > 2;
 }
 
-#if CATS_OBS_ENABLED
 /// Copies the heatmap tallies into a replacement node.  Single-writer: the
 /// thread building the replacement calls this before publishing it, so the
 /// relaxed stores cannot race another writer of `to`.
@@ -219,7 +215,6 @@ void heat_inherit(Node<C>* to, const Node<C>* from) {
   to->heat_helps.store(from->heat_helps.load(std::memory_order_relaxed),
                        std::memory_order_relaxed);
 }
-#endif
 
 /// EBR deleter for LFCA nodes: the destructor releases the container
 /// reference, the result-storage reference, and (for a join_neighbor) its

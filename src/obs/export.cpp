@@ -138,8 +138,6 @@ void write_table(std::ostream& os, const Snapshot& snap) {
 // JSON.
 // ---------------------------------------------------------------------------
 
-namespace {
-
 void json_escape(std::ostream& os, const std::string& s) {
   os << '"';
   for (const char c : s) {
@@ -161,8 +159,6 @@ void json_escape(std::ostream& os, const std::string& s) {
   }
   os << '"';
 }
-
-}  // namespace
 
 void write_histogram_json(std::ostream& os, const HistogramSnapshot& h) {
   os << "{\"count\":" << h.count << ",\"sum\":" << h.sum

@@ -76,6 +76,11 @@ void write_prometheus(std::ostream& os, const Snapshot& snap);
 /// building block of write_json, shared with the topology exporter.
 void write_histogram_json(std::ostream& os, const HistogramSnapshot& h);
 
+/// `s` as a quoted JSON string, control bytes as unicode escapes, so a key
+/// label made of raw key bytes round-trips.  Shared with the topology
+/// exporter.
+void json_escape(std::ostream& os, const std::string& s);
+
 /// write_json straight to a file; returns false on I/O failure.
 bool write_json_file(const std::string& path, const Snapshot& snap);
 

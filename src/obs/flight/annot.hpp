@@ -9,16 +9,12 @@
 // begin/end and attributes the delta to the sampled operation.
 //
 // Cumulative, never reset: consumers subtract two readings.  A bump costs
-// one thread-local increment; OFF builds compile the notes to nothing.
+// one thread-local increment.
 #pragma once
 
 #include <cstdint>
 
-#include "obs/obs.hpp"
-
 namespace cats::obs::flight {
-
-#if CATS_OBS_ENABLED
 
 /// Cumulative per-thread annotation counters.
 struct OpAnnot {
@@ -35,13 +31,5 @@ inline OpAnnot& op_annot() {
 inline void note_cas_fail() { ++op_annot().cas_fails; }
 inline void note_epoch_wait() { ++op_annot().epoch_waits; }
 inline void note_pool_refill() { ++op_annot().pool_refills; }
-
-#else  // !CATS_OBS_ENABLED
-
-inline void note_cas_fail() {}
-inline void note_epoch_wait() {}
-inline void note_pool_refill() {}
-
-#endif  // CATS_OBS_ENABLED
 
 }  // namespace cats::obs::flight

@@ -1,8 +1,5 @@
 #include "obs/flight/flight.hpp"
 
-#if CATS_OBS_ENABLED
-
-#include <algorithm>
 #include <chrono>
 #include <thread>
 
@@ -49,68 +46,21 @@ std::vector<SpanEvent> Recorder::dump() const {
     const double ns = static_cast<double>(base_ns) + delta / ticks_per_ns;
     return ns <= 0 ? 0 : static_cast<std::uint64_t>(ns);
   };
+  // Sorting by raw start ticks is sorting by start time: to_ns is monotone.
   std::vector<SpanEvent> out;
-  for (const auto& ring : rings_) {
-    const std::uint64_t next = ring->next.load(std::memory_order_acquire);
-    const std::uint64_t first = next > kRingSize ? next - kRingSize : 0;
-    for (std::uint64_t seq = first; seq < next; ++seq) {
-      const Slot& slot = ring->slots[seq % kRingSize];
-      const std::uint64_t tag = slot.seq.load(std::memory_order_acquire);
-      SpanEvent e;
-      const std::uint64_t start_ticks =
-          slot.start_ticks.load(std::memory_order_relaxed);
-      const std::uint64_t dur_ticks =
-          slot.dur_ticks.load(std::memory_order_relaxed);
-      e.kind = static_cast<SpanKind>(slot.kind.load(std::memory_order_relaxed));
-      e.key_hash = slot.key_hash.load(std::memory_order_relaxed);
-      e.thread = static_cast<std::uint32_t>(&ring - &rings_[0]);
-      e.cas_fails = slot.cas_fails.load(std::memory_order_relaxed);
-      e.epoch_waits = slot.epoch_waits.load(std::memory_order_relaxed);
-      e.pool_refills = slot.pool_refills.load(std::memory_order_relaxed);
-      // Keep only slots that were complete for this seq when we started
-      // and still are: drops torn entries under concurrent wraparound.
-      if (tag == 2 * (seq + 1) &&
-          slot.seq.load(std::memory_order_acquire) == tag) {
-        e.t_ns = to_ns(start_ticks, origin_ns);
-        e.dur_ns = static_cast<std::uint64_t>(
-            static_cast<double>(dur_ticks) / ticks_per_ns);
-        out.push_back(e);
-      }
-    }
+  for (const SpanRecord& r : rings_.dump(&SpanRecord::start_ticks)) {
+    SpanEvent& e = out.emplace_back();
+    e.t_ns = to_ns(r.start_ticks, origin_ns);
+    e.dur_ns = static_cast<std::uint64_t>(
+        static_cast<double>(r.dur_ticks) / ticks_per_ns);
+    e.kind = r.kind;
+    e.key_hash = r.key_hash;
+    e.thread = r.thread;
+    e.cas_fails = r.cas_fails;
+    e.epoch_waits = r.epoch_waits;
+    e.pool_refills = r.pool_refills;
   }
-  std::sort(out.begin(), out.end(),
-            [](const SpanEvent& a, const SpanEvent& b) {
-              return a.t_ns < b.t_ns;
-            });
   return out;
 }
 
-std::uint64_t Recorder::recorded() const {
-  std::uint64_t total = 0;
-  for (const auto& ring : rings_) {
-    total += ring->next.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-std::uint64_t Recorder::dropped() const {
-  std::uint64_t lost = 0;
-  for (const auto& ring : rings_) {
-    const std::uint64_t next = ring->next.load(std::memory_order_relaxed);
-    if (next > kRingSize) lost += next - kRingSize;
-  }
-  return lost;
-}
-
-void Recorder::reset() {
-  for (auto& ring : rings_) {
-    for (auto& slot : ring->slots) {
-      slot.seq.store(0, std::memory_order_relaxed);
-    }
-    ring->next.store(0, std::memory_order_relaxed);
-  }
-}
-
 }  // namespace cats::obs::flight
-
-#endif  // CATS_OBS_ENABLED

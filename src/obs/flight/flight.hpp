@@ -4,22 +4,22 @@
 // this module records what individual operations *experienced*: start
 // timestamp, latency, op kind, key hash, and how many CAS failures, EBR
 // epoch waits and pool refills the operation absorbed (annot.hpp).  Spans
-// land in per-thread lock-free seqlock rings — same discipline as
-// AdaptTrace — and dump() merges all rings into one timeline that shares
-// AdaptTrace::now_ns()'s origin, so op spans and split/join instants line
-// up in one Perfetto view (flight/perfetto.hpp).
+// land in the same per-thread seqlock rings as AdaptTrace
+// (obs/seqlock_ring.hpp), and dump() merges all rings into one timeline
+// that shares AdaptTrace::now_ns()'s origin, so op spans and split/join
+// instants line up in one Perfetto view (flight/perfetto.hpp).
 //
 // Timing every operation would dominate the cost of a lookup, so spans are
 // sampled 1 in 2^shift per thread via a thread-local countdown:
 //
 //   disabled path:   one relaxed load + branch (g_control == 0)
 //   unsampled path:  load + compare + decrement + branch
-//   sampled path:    two TSC reads + a handful of relaxed ring stores
+//   sampled path:    two TSC reads + a handful of ring stores
 //
 // Timestamps are raw TSC ticks (x86 rdtsc / aarch64 cntvct_el0, falling
 // back to steady_clock); enable() calibrates ticks-per-ns against
 // AdaptTrace::now_ns() and anchors the origins so dump() can convert.  The
-// rings (~8 MB) are allocated lazily on the first enable(): a process that
+// rings (~6 MB) are allocated lazily on the first enable(): a process that
 // never traces never pays for them.
 //
 // Control plane (enable/disable/reset) is NOT thread-safe against itself —
@@ -32,16 +32,11 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/types.hpp"
-#include "obs/obs.hpp"
-
-#if CATS_OBS_ENABLED
-#include "common/padded.hpp"
 #include "common/rng.hpp"
-#include "obs/counters.hpp"
+#include "common/types.hpp"
 #include "obs/flight/annot.hpp"
+#include "obs/seqlock_ring.hpp"
 #include "obs/trace.hpp"
-#endif
 
 namespace cats::obs::flight {
 
@@ -68,7 +63,7 @@ struct SpanEvent {
   std::uint64_t dur_ns = 0;  // latency
   SpanKind kind = SpanKind::kLookup;
   std::uint32_t key_hash = 0;      // mix64(key) truncated; spreads hot keys
-  std::uint32_t thread = 0;        // recorder's shard index
+  std::uint32_t thread = 0;        // recorder's ring (shard) index
   std::uint32_t cas_fails = 0;     // annotation deltas over the span
   std::uint32_t epoch_waits = 0;
   std::uint32_t pool_refills = 0;
@@ -83,8 +78,6 @@ struct SpanStart {
   std::uint32_t pool_refills = 0;
   bool active = false;
 };
-
-#if CATS_OBS_ENABLED
 
 /// Global sampling control word: 0 = disabled, else
 /// (generation << 8) | (sample_shift + 1).  The generation bump on every
@@ -158,30 +151,17 @@ class Recorder {
   void end(const SpanStart& s, SpanKind kind, Key key) {
     const std::uint64_t end_ticks = read_ticks();
     const OpAnnot& annot = op_annot();
-    const std::size_t shard = shard_index();
-    Ring& ring = *rings_[shard];
-    const std::uint64_t seq = ring.next.load(std::memory_order_relaxed);
-    Slot& slot = ring.slots[seq % kRingSize];
-    // Odd sequence = slot being written; dump() skips such slots (the
-    // seqlock discipline of obs/trace.hpp).
-    slot.seq.store(2 * seq + 1, std::memory_order_release);
-    slot.start_ticks.store(s.ticks, std::memory_order_relaxed);
+    SpanRecord r;
+    r.start_ticks = s.ticks;
     // TSC reads may jump backwards across a core migration; clamp.
-    slot.dur_ticks.store(end_ticks > s.ticks ? end_ticks - s.ticks : 0,
-                         std::memory_order_relaxed);
-    slot.kind.store(static_cast<std::uint8_t>(kind),
-                    std::memory_order_relaxed);
-    slot.key_hash.store(
-        static_cast<std::uint32_t>(mix64(static_cast<std::uint64_t>(key))),
-        std::memory_order_relaxed);
-    slot.cas_fails.store(annot.cas_fails - s.cas_fails,
-                         std::memory_order_relaxed);
-    slot.epoch_waits.store(annot.epoch_waits - s.epoch_waits,
-                           std::memory_order_relaxed);
-    slot.pool_refills.store(annot.pool_refills - s.pool_refills,
-                            std::memory_order_relaxed);
-    slot.seq.store(2 * (seq + 1), std::memory_order_release);
-    ring.next.store(seq + 1, std::memory_order_release);
+    r.dur_ticks = end_ticks > s.ticks ? end_ticks - s.ticks : 0;
+    r.kind = kind;
+    r.key_hash =
+        static_cast<std::uint32_t>(mix64(static_cast<std::uint64_t>(key)));
+    r.cas_fails = annot.cas_fails - s.cas_fails;
+    r.epoch_waits = annot.epoch_waits - s.epoch_waits;
+    r.pool_refills = annot.pool_refills - s.pool_refills;
+    rings_.write(r);
   }
 
   /// Merged timeline of every ring, sorted by start time.  Entries being
@@ -189,12 +169,12 @@ class Recorder {
   std::vector<SpanEvent> dump() const;
 
   /// Total spans ever recorded (including overwritten ones).
-  std::uint64_t recorded() const;
+  std::uint64_t recorded() const { return rings_.recorded(); }
   /// Spans lost to ring wraparound (recorded minus still-resident).
-  std::uint64_t dropped() const;
+  std::uint64_t dropped() const { return rings_.dropped(); }
 
   /// Clears the rings (control plane; not safe against live recording).
-  void reset();
+  void reset() { rings_.reset(); }
 
  private:
   struct Sampler {
@@ -206,19 +186,16 @@ class Recorder {
     return tl;
   }
 
-  struct Slot {
-    std::atomic<std::uint64_t> seq{0};
-    std::atomic<std::uint64_t> start_ticks{0};
-    std::atomic<std::uint64_t> dur_ticks{0};
-    std::atomic<std::uint8_t> kind{0};
-    std::atomic<std::uint32_t> key_hash{0};
-    std::atomic<std::uint32_t> cas_fails{0};
-    std::atomic<std::uint32_t> epoch_waits{0};
-    std::atomic<std::uint32_t> pool_refills{0};
-  };
-  struct Ring {
-    Slot slots[kRingSize];
-    std::atomic<std::uint64_t> next{0};
+  /// A span as stored: raw ticks, converted to nanoseconds by dump().
+  struct SpanRecord {
+    std::uint64_t start_ticks = 0;
+    std::uint64_t dur_ticks = 0;
+    SpanKind kind = SpanKind::kLookup;
+    std::uint32_t key_hash = 0;
+    std::uint32_t cas_fails = 0;
+    std::uint32_t epoch_waits = 0;
+    std::uint32_t pool_refills = 0;
+    std::uint32_t thread = 0;
   };
 
   Recorder() = default;
@@ -231,7 +208,7 @@ class Recorder {
   std::atomic<double> ticks_per_ns_{1.0};
   std::uint32_t generation_ = 0;  // control plane only
 
-  Padded<Ring> rings_[kShards];
+  SeqlockRings<SpanRecord, kRingSize> rings_;
 };
 
 /// Hot-path entry: inert token unless sampling is on and this op won the
@@ -246,32 +223,5 @@ inline void end_span(const SpanStart& s, SpanKind kind, Key key) {
   if (!s.active) return;
   Recorder::instance().end(s, kind, key);
 }
-
-#else  // !CATS_OBS_ENABLED
-
-/// CATS_OBS=OFF stubs: same shape, no rings, no clock reads — call sites
-/// outside CATS_OBS_ONLY blocks compile unchanged and emit nothing.
-class Recorder {
- public:
-  static constexpr std::size_t kRingSize = 0;
-  static Recorder& instance() {
-    static Recorder r;
-    return r;
-  }
-  void enable(unsigned) {}
-  void disable() {}
-  bool enabled() const { return false; }
-  int sample_shift() const { return -1; }
-  double ticks_per_ns() const { return 1.0; }
-  std::vector<SpanEvent> dump() const { return {}; }
-  std::uint64_t recorded() const { return 0; }
-  std::uint64_t dropped() const { return 0; }
-  void reset() {}
-};
-
-inline SpanStart begin_span() { return {}; }
-inline void end_span(const SpanStart&, SpanKind, Key) {}
-
-#endif  // CATS_OBS_ENABLED
 
 }  // namespace cats::obs::flight

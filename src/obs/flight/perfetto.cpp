@@ -1,7 +1,5 @@
 #include "obs/flight/perfetto.hpp"
 
-#if CATS_OBS_ENABLED
-
 #include <cinttypes>
 #include <cstdio>
 #include <ostream>
@@ -83,5 +81,3 @@ void write_chrome_trace(std::ostream& os) {
 }
 
 }  // namespace cats::obs::flight
-
-#endif  // CATS_OBS_ENABLED

@@ -11,18 +11,13 @@
 // Both sources share the AdaptTrace::now_ns() timeline, so a split lands
 // visually between the op spans that provoked it.  One track per recorder
 // shard ("tid" = shard index); thread-name metadata rows label them.
-//
-// Compiled out with the rest of the flight recorder under CATS_OBS=OFF.
 #pragma once
 
 #include <iosfwd>
 #include <vector>
 
 #include "obs/flight/flight.hpp"
-#include "obs/obs.hpp"
 #include "obs/trace.hpp"
-
-#if CATS_OBS_ENABLED
 
 namespace cats::obs::flight {
 
@@ -36,5 +31,3 @@ void write_chrome_trace(std::ostream& os,
 void write_chrome_trace(std::ostream& os);
 
 }  // namespace cats::obs::flight
-
-#endif  // CATS_OBS_ENABLED

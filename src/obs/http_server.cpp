@@ -1,7 +1,5 @@
 #include "obs/http_server.hpp"
 
-#if CATS_OBS_ENABLED
-
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -157,5 +155,3 @@ void HttpServer::serve_client(int client_fd) {
 }
 
 }  // namespace cats::obs
-
-#endif  // CATS_OBS_ENABLED

@@ -12,13 +12,7 @@
 // Handlers run on the server thread concurrently with the workload, so they
 // must only use concurrency-safe reads — which all obs sources are
 // (aggregate-on-read counters, EBR-guarded topology walks).
-//
-// Compiled out entirely when CATS_OBS is OFF: no class, no socket code.
 #pragma once
-
-#include "obs/obs.hpp"
-
-#if CATS_OBS_ENABLED
 
 #include <functional>
 #include <string>
@@ -72,5 +66,3 @@ class HttpServer {
 };
 
 }  // namespace cats::obs
-
-#endif  // CATS_OBS_ENABLED

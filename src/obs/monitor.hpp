@@ -5,21 +5,14 @@
 // "when" — it wakes at a fixed interval, pulls a non-destructive Snapshot
 // from a caller-supplied source (Registry::snapshot() deltas under the
 // hood, never reset()), computes per-second rates for every counter from
-// the interval deltas, optionally collects a route-tree topology snapshot,
-// and appends everything to a bounded in-memory ring.  The series dumps as
-// CSV (one row per sample, for plotting) or JSON.
+// the interval deltas, and appends everything to a bounded in-memory ring.
+// The series dumps as CSV, one row per sample, for plotting.
 //
 // The sampler thread never touches tree hot paths: sources read sharded
 // counters (aggregate-on-read) and walk the tree inside an EBR guard.
 // series()/write_csv may be called while sampling is live; the sample ring
 // is mutex-protected (the monitor is not a hot path).
-//
-// Compiled out entirely when CATS_OBS is OFF: no class, no thread.
 #pragma once
-
-#include "obs/obs.hpp"
-
-#if CATS_OBS_ENABLED
 
 #include <chrono>
 #include <condition_variable>
@@ -33,7 +26,6 @@
 #include <vector>
 
 #include "obs/export.hpp"
-#include "obs/topology.hpp"
 
 namespace cats::obs {
 
@@ -43,9 +35,6 @@ class Monitor {
   /// monitor thread concurrently with whatever the process is doing —
   /// global_snapshot() plus Stats::append_to satisfies this.
   using StatsSource = std::function<Snapshot()>;
-  /// Optional: produces a route-tree topology snapshot (an EBR-guarded
-  /// walk); its scalar fields are recorded as gauges per sample.
-  using TopologySource = std::function<TopologySnapshot()>;
 
   struct Config {
     std::chrono::milliseconds interval{100};
@@ -62,7 +51,7 @@ class Monitor {
     std::vector<double> gauges;           // gauge_names order
   };
 
-  Monitor(Config config, StatsSource stats, TopologySource topology = {});
+  Monitor(Config config, StatsSource stats);
   ~Monitor();
 
   Monitor(const Monitor&) = delete;
@@ -75,9 +64,8 @@ class Monitor {
   void stop();
   bool running() const { return thread_.joinable(); }
 
-  /// Column schema, fixed by the first sample: counter names from the
-  /// stats source, then gauge names (stats gauges, then "topo_"-prefixed
-  /// topology scalars).  Empty until the first sample lands.
+  /// Column schema, fixed by the first sample: the stats source's counter
+  /// and gauge names.  Empty until the first sample lands.
   std::vector<std::string> counter_names() const;
   std::vector<std::string> gauge_names() const;
 
@@ -88,10 +76,6 @@ class Monitor {
   /// CSV: header `t_s,interval_s,<counters...>,<counter>_per_sec...,
   /// <gauges...>`, one row per sample.
   void write_csv(std::ostream& os) const;
-  /// JSON: {"interval_ms":...,"counters":[names],"gauges":[names],
-  /// "samples":[{"t_s":...,"cumulative":[...],"per_sec":[...],
-  /// "gauges":[...]}]}.
-  void write_json(std::ostream& os) const;
   bool write_csv_file(const std::string& path) const;
 
   /// Takes one sample immediately on the calling thread (also used by the
@@ -104,7 +88,6 @@ class Monitor {
 
   const Config config_;
   const StatsSource stats_;
-  const TopologySource topology_;
 
   mutable std::mutex mutex_;  // guards everything below
   std::vector<std::string> counter_names_;
@@ -122,5 +105,3 @@ class Monitor {
 };
 
 }  // namespace cats::obs
-
-#endif  // CATS_OBS_ENABLED

@@ -14,7 +14,6 @@
 
 #include "obs/counters.hpp"
 #include "obs/histogram.hpp"
-#include "obs/obs.hpp"
 #include "obs/trace.hpp"
 
 namespace cats::obs {
@@ -153,7 +152,7 @@ class Registry {
   AdaptTrace trace_;
 };
 
-/// Hot-path helpers; call through CATS_OBS_ONLY so OFF builds emit nothing.
+/// Hot-path helpers.
 inline void count(GCounter c, std::uint64_t n = 1) {
   Registry::instance().count(c, n);
 }

@@ -39,7 +39,7 @@ struct Snapshot;  // export.hpp
 /// Contention-heatmap record for one base node: where it sits (route depth
 /// and the lower bound of its key interval) and how much contention it has
 /// absorbed (CAS-failure and help tallies carried across replacement by
-/// the lfca heat hooks; CATS_OBS builds only — always zero otherwise).
+/// the lfca heat hooks).
 struct BaseHeat {
   std::uint32_t depth = 0;
   long long key_lo = 0;           // lower bound of the base's key interval
@@ -76,7 +76,7 @@ struct TopologySnapshot {
   std::int64_t stat_max = 0;        // most split-leaning statistic seen
   HistogramSnapshot stat_abs;       // |stat| per base node (drift magnitude)
 
-  // --- contention heatmap (CATS_OBS builds; all zero otherwise) ------------
+  // --- contention heatmap --------------------------------------------------
   /// Hottest bases retained per snapshot.
   static constexpr std::size_t kMaxHotBases = 8;
   std::uint64_t heat_cas_fails = 0; // CAS-failure tallies over all bases

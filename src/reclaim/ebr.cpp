@@ -122,7 +122,7 @@ Domain::ThreadCtx* Domain::register_thread() {
 void Domain::unregister(ThreadCtx* ctx) {
   if (!ctx->retired.empty()) {
     const std::vector<Retired> own = ctx->retired.take();
-    CATS_OBS_ONLY(obs::count(obs::GCounter::kEbrOrphaned, own.size()));
+    obs::count(obs::GCounter::kEbrOrphaned, own.size());
     std::lock_guard<std::mutex> lock(orphan_mutex_);
     orphans_.items.insert(orphans_.items.end(), own.begin(), own.end());
   }
@@ -185,7 +185,7 @@ void Domain::retire(void* ptr, void (*deleter)(void*)) {
   const std::uint64_t e = global_epoch_.load(std::memory_order_acquire);
   ctx.retired.items.push_back({ptr, deleter, e});
   add_retirees(ctx, 1);
-  CATS_OBS_ONLY(obs::count(obs::GCounter::kEbrRetired));
+  obs::count(obs::GCounter::kEbrRetired);
   if (ctx.freeing) return;  // called from a deleter: free it later
   const std::uint64_t n = ++ctx.retire_count;
   // Orphans and the own FIFO share one budget per call.
@@ -198,7 +198,7 @@ void Domain::retire(void* ptr, void (*deleter)(void*)) {
       // Some reader still pins the epoch and this thread's garbage backlog
       // keeps growing — annotated on the current flight-recorder span as
       // an epoch wait.
-      CATS_OBS_ONLY(obs::flight::note_epoch_wait());
+      obs::flight::note_epoch_wait();
     }
   }
   if (n % kFreePeriod == 0) {
@@ -238,7 +238,7 @@ void Domain::free_prefix(ThreadCtx& ctx, std::uint64_t global,
   ctx.freeing = false;
   if (freed != 0) {
     add_retirees(ctx, -static_cast<std::ptrdiff_t>(freed));
-    CATS_OBS_ONLY(obs::count(obs::GCounter::kEbrFreed, freed));
+    obs::count(obs::GCounter::kEbrFreed, freed);
   }
 }
 
@@ -261,12 +261,12 @@ std::size_t Domain::free_orphans(ThreadCtx& ctx, std::uint64_t global) {
   ctx.freeing = true;
   for (std::size_t i = 0; i < n; ++i) reclaim(batch[i]);
   ctx.freeing = false;
-  if (n != 0) CATS_OBS_ONLY(obs::count(obs::GCounter::kEbrFreed, n));
+  if (n != 0) obs::count(obs::GCounter::kEbrFreed, n);
   return n;
 }
 
 bool Domain::try_advance() {
-  CATS_OBS_ONLY(obs::count(obs::GCounter::kEbrAdvanceAttempts));
+  obs::count(obs::GCounter::kEbrAdvanceAttempts);
   // Both seq_cst loads below close the Dekker race with enter(): a reader
   // announces (seq_cst store) and then reads shared pointers; the scan must
   // sit after that store in the single total order, or an advance could
@@ -283,15 +283,13 @@ bool Domain::try_advance() {
   }
   const bool advanced = global_epoch_.compare_exchange_strong(
       e, e + 1, std::memory_order_acq_rel);
-  CATS_OBS_ONLY({
-    if (advanced) {
-      obs::count(obs::GCounter::kEbrAdvances);
-      // Instant event on the merged timeline (depth unused; stat carries
-      // the new epoch, truncated — fine for a visual marker).
-      obs::trace_adapt(obs::AdaptKind::kEpochAdvance, 0,
-                       static_cast<std::int32_t>(e + 1));
-    }
-  });
+  if (advanced) {
+    obs::count(obs::GCounter::kEbrAdvances);
+    // Instant event on the merged timeline (depth unused; stat carries the
+    // new epoch, truncated — fine for a visual marker).
+    obs::trace_adapt(obs::AdaptKind::kEpochAdvance, 0,
+                     static_cast<std::int32_t>(e + 1));
+  }
   return advanced;
 }
 
@@ -305,7 +303,7 @@ void Domain::free_eligible(std::vector<Retired>& list, std::uint64_t global) {
     return true;
   });
   if (list.size() != before) {
-    CATS_OBS_ONLY(obs::count(obs::GCounter::kEbrFreed, before - list.size()));
+    obs::count(obs::GCounter::kEbrFreed, before - list.size());
   }
 }
 

@@ -119,12 +119,12 @@ struct BasicTreap {
          std::uint8_t height_, bool is_leaf_)
         : rc(1), size(size_), min_key(min_), max_key(max_), height(height_),
           is_leaf(is_leaf_) {
-      CATS_OBS_ONLY(obs::count(obs::GCounter::kTreapNodeAllocs));
+      obs::count(obs::GCounter::kTreapNodeAllocs);
     }
     ~Node() {
       CATS_CHECKED_ONLY(
           check::canary_expect_alive(check_canary, "treap node (destructor)"));
-      CATS_OBS_ONLY(obs::count(obs::GCounter::kTreapNodeFrees));
+      obs::count(obs::GCounter::kTreapNodeFrees);
     }
 
     Node(const Node&) = delete;

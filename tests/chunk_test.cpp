@@ -85,10 +85,6 @@ TEST(ChunkBasic, ForRangeBounds) {
 }
 
 TEST(ChunkBasic, NoLeak) {
-  if (!CATS_OBS_ENABLED) {
-    GTEST_SKIP() << "the leak check reads the obs node counters, compiled "
-                    "out with CATS_OBS=OFF";
-  }
   const std::int64_t before = live_nodes();
   {
     Ref c;

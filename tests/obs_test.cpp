@@ -18,7 +18,6 @@
 #include "obs/export.hpp"
 #include "obs/flight/annot.hpp"
 #include "obs/flight/flight.hpp"
-#include "obs/flight/perf_counters.hpp"
 #include "obs/flight/perfetto.hpp"
 #include "obs/histogram.hpp"
 #include "obs/json.hpp"
@@ -354,7 +353,6 @@ TEST(ObsExport, SnapshotCounterLookup) {
   EXPECT_EQ(snap.counter("absent"), 0u);
 }
 
-#if CATS_OBS_ENABLED
 // ---------------------------------------------------------------------------
 // Non-destructive registry snapshots: the monitor's delta sampling relies
 // on snapshot() leaving the counters untouched (reset() is quiescent-only).
@@ -382,11 +380,10 @@ TEST(ObsRegistry, SnapshotIsNonDestructive) {
   EXPECT_EQ(c.counter(obs::GCounter::kHarnessOps),
             a.counter(obs::GCounter::kHarnessOps) + 2);
 }
-#endif  // CATS_OBS_ENABLED
 
 // ---------------------------------------------------------------------------
-// Integration with the tree: tree counters flow into snapshots, and (in
-// CATS_OBS builds) adaptations land in the global trace.
+// Integration with the tree: tree counters flow into snapshots, and
+// adaptations land in the global trace.
 // ---------------------------------------------------------------------------
 
 TEST(ObsIntegration, TreeStatsAppendToSnapshot) {
@@ -436,7 +433,6 @@ TEST(ObsIntegration, TreeStatsAppendToSnapshot) {
   domain.drain();
 }
 
-#if CATS_OBS_ENABLED
 TEST(ObsIntegration, ForcedAdaptationsReachGlobalTrace) {
   obs::Registry::instance().reset();
   reclaim::Domain domain;
@@ -459,11 +455,10 @@ TEST(ObsIntegration, ForcedAdaptationsReachGlobalTrace) {
   EXPECT_GT(snap.counter("ebr_retired"), 0u);
   EXPECT_GT(snap.counter("treap_node_allocs"), 0u);
 }
-#endif  // CATS_OBS_ENABLED
 
 // ---------------------------------------------------------------------------
-// Flight recorder: sampling, ring accounting, cross-thread merge, the
-// Perfetto writer, and the perf-counter wrapper.
+// Flight recorder: sampling, ring accounting, cross-thread merge and the
+// Perfetto writer.
 // ---------------------------------------------------------------------------
 
 TEST(Flight, DisabledPathIsInert) {
@@ -474,8 +469,6 @@ TEST(Flight, DisabledPathIsInert) {
   EXPECT_FALSE(obs::flight::Recorder::instance().enabled());
   EXPECT_EQ(obs::flight::Recorder::instance().sample_shift(), -1);
 }
-
-#if CATS_OBS_ENABLED
 
 TEST(Flight, SpanRecordsAnnotationDeltas) {
   auto& rec = obs::flight::Recorder::instance();
@@ -683,63 +676,6 @@ TEST(Flight, ConcurrentProducersAndExporter) {
   EXPECT_EQ(rec.recorded(), kProducers * kOps / 16);
 }
 
-TEST(Flight, PerfCountersDegradeGracefully) {
-  obs::flight::ThreadPerf perf;
-  perf.start();
-  // A little work so available counters read something nonzero.
-  std::uint64_t sink = 0;
-  for (int i = 0; i < 100'000; ++i) sink += static_cast<std::uint64_t>(i);
-  const obs::flight::PerfCounts c = perf.stop();
-  EXPECT_EQ(sink, 99'999ull * 100'000 / 2);
-  if (c.available) {
-    EXPECT_GT(c.cycles, 0u);
-    EXPECT_GT(c.instructions, 0u);
-    EXPECT_EQ(c.threads, 1u);
-    EXPECT_GT(c.ipc(), 0.0);
-  } else {
-    // The contract: never fail, always say why.
-    EXPECT_FALSE(c.unavailable_reason.empty());
-    EXPECT_EQ(c.cycles, 0u);
-  }
-}
-
-TEST(Flight, PerfPhaseTotalsRoundTrip) {
-  obs::flight::perf_phase_reset();
-  obs::flight::PerfCounts a;
-  a.available = true;
-  a.cycles = 1000;
-  a.instructions = 2000;
-  a.threads = 1;
-  obs::flight::perf_phase_add("unit_phase", a);
-  obs::flight::perf_phase_add("unit_phase", a);
-
-  bool found = false;
-  for (const auto& [phase, total] : obs::flight::perf_phase_totals()) {
-    if (phase != "unit_phase") continue;
-    found = true;
-    EXPECT_TRUE(total.available);
-    EXPECT_EQ(total.cycles, 2000u);
-    EXPECT_EQ(total.instructions, 4000u);
-    EXPECT_EQ(total.threads, 2u);
-    EXPECT_DOUBLE_EQ(total.ipc(), 2.0);
-  }
-  EXPECT_TRUE(found);
-
-  obs::Snapshot snap;
-  obs::flight::append_perf_phases(snap);
-  bool saw_cycles = false;
-  for (const auto& [name, value] : snap.gauges) {
-    if (name == "perf_unit_phase_cycles") {
-      saw_cycles = true;
-      EXPECT_DOUBLE_EQ(value, 2000.0);
-    }
-  }
-  EXPECT_TRUE(saw_cycles);
-
-  obs::flight::perf_phase_reset();
-  EXPECT_TRUE(obs::flight::perf_phase_totals().empty());
-}
-
 TEST(ObsExport, PrometheusHotBaseLabeledGauges) {
   obs::Snapshot snap;
   for (std::uint32_t rank = 0; rank < 2; ++rank) {
@@ -776,7 +712,5 @@ TEST(ObsExport, PrometheusHotBaseLabeledGauges) {
   }
   EXPECT_EQ(type_lines, 1u);
 }
-
-#endif  // CATS_OBS_ENABLED
 
 }  // namespace

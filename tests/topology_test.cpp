@@ -15,7 +15,6 @@
 #include "lfca/lfca_tree.hpp"
 #include "obs/export.hpp"
 #include "obs/json.hpp"
-#include "obs/obs.hpp"
 #include "obs/topology.hpp"
 
 namespace {
@@ -160,6 +159,8 @@ TEST(Topology, HeatmapExportsThroughJson) {
   obs::BaseHeat hot;
   hot.depth = 3;
   hot.key_lo = 512;
+  // A StrKey label is the key's raw bytes, control bytes included.
+  hot.key_label = "k\x01";
   hot.cas_fails = 7;
   hot.helps = 2;
   hot.items = 40;
@@ -175,6 +176,7 @@ TEST(Topology, HeatmapExportsThroughJson) {
   ASSERT_EQ(heatmap.size(), 1u);
   EXPECT_EQ(heatmap[0].at("depth").as_uint(), 3u);
   EXPECT_EQ(heatmap[0].at("key_lo").as_uint(), 512u);
+  EXPECT_EQ(heatmap[0].at("key_label").as_string(), "k\x01");
   EXPECT_EQ(heatmap[0].at("cas_fails").as_uint(), 7u);
   EXPECT_EQ(heatmap[0].at("helps").as_uint(), 2u);
   EXPECT_EQ(heatmap[0].at("items").as_uint(), 40u);
@@ -197,7 +199,6 @@ TEST(Topology, HeatmapExportsThroughJson) {
   EXPECT_EQ(snap.hot_bases[0].cas_fails, 7u);
 }
 
-#if CATS_OBS_ENABLED
 // Deterministic heat attribution: force a range query to lose its marker
 // CAS (the lfca_test retry idiom), then check that the failure survives
 // base replacement — the pending-carry settles on the live base and the
@@ -228,7 +229,6 @@ TEST(Topology, RangeCasFailureLandsInHeatmap) {
   }
   domain.drain();
 }
-#endif  // CATS_OBS_ENABLED
 
 // The stress case: walkers loop collect_topology() while writers insert,
 // remove and force adaptations with hair-trigger thresholds.  EBR must keep

@@ -205,10 +205,6 @@ TEST(TreapSplit, SplitEvenlyBalancesAndKeys) {
 }
 
 TEST(TreapRefcount, NoLeakAcrossVersions) {
-  if (!CATS_OBS_ENABLED) {
-    GTEST_SKIP() << "the leak check reads the obs node counters, compiled "
-                    "out with CATS_OBS=OFF";
-  }
   const std::int64_t before = live_nodes();
   {
     Ref t;
@@ -224,10 +220,6 @@ TEST(TreapRefcount, NoLeakAcrossVersions) {
 }
 
 TEST(TreapRefcount, JoinSplitNoLeak) {
-  if (!CATS_OBS_ENABLED) {
-    GTEST_SKIP() << "the leak check reads the obs node counters, compiled "
-                    "out with CATS_OBS=OFF";
-  }
   const std::int64_t before = live_nodes();
   {
     Ref a = build([] {
